@@ -41,10 +41,15 @@
 //! perf_baseline [--quick] [--churn] [--combined] [--latency] [--out PATH] [--label NAME] [--baseline PATH]
 //! ```
 //!
-//! `--baseline` embeds a previous run's JSON verbatim under `"baseline"`
-//! and, when that run carries a `primitive_8t_mops` summary, reports the
-//! 8-thread primitive speedup against it — this is how the committed
-//! `BENCH_fabric.json` records before/after across a backend change.
+//! Every output ends with a flat `trajectory` array: one headline line
+//! per run label (8-thread primitive throughput, 1-thread flit-cxl0
+//! queue `sim_ns_per_op`), oldest first, the current run last.
+//! `--baseline` carries a previous run's trajectory forward (a file in
+//! the older nested format, which embedded each previous run whole
+//! under `"baseline"`, is read once, level by level, to seed it) and
+//! reports the 8-thread primitive speedup against that run — this is
+//! how the committed `BENCH_fabric.json` records before/after across a
+//! change.
 //!
 //! Timing discipline: every row's cluster, structure and per-worker
 //! sessions are built **once**, before any timed region; repetitions
@@ -738,14 +743,63 @@ fn latency_unit(mode: PersistMode, pairs: u64) -> (Vec<LatencyRow>, RecoveryRow)
     (rows, recovery)
 }
 
-/// Extracts the `"primitive_8t_mops": <number>` summary from a previous
-/// run's JSON without a JSON parser (the format is our own).
-fn extract_8t_mops(json: &str) -> Option<f64> {
-    let key = "\"primitive_8t_mops\":";
-    let at = json.find(key)? + key.len();
+/// The raw value token of the first `"key": <value>` in `json` (no
+/// JSON parser: the format is our own). String values keep their quotes.
+fn extract_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let at = json.find(&pat)? + pat.len();
     let rest = &json[at..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
+    let end = rest.find([',', '}', '\n'])?;
+    Some(rest[..end].trim())
+}
+
+fn extract_f64(json: &str, key: &str) -> Option<f64> {
+    extract_field(json, key)?.parse().ok()
+}
+
+/// One run's line in the flat trajectory.
+fn headline(label: &str, quick: bool, prim_8t_mops: f64, queue_1t_sim_ns: Option<f64>) -> String {
+    let queue = queue_1t_sim_ns.map_or("null".to_string(), |v| format!("{v:.3}"));
+    format!(
+        "{{\"label\":\"{label}\",\"quick\":{quick},\"primitive_8t_mops\":{prim_8t_mops:.3},\"queue_flit_cxl0_1t_sim_ns_per_op\":{queue}}}"
+    )
+}
+
+/// The 1-thread flit-cxl0 queue-sweep row's `sim_ns_per_op` in one
+/// run's JSON (the first such row: the queue sweep precedes the others;
+/// whitespace is dropped, as the oldest runs pretty-printed their rows).
+fn queue_1t_sim_ns(json: &str) -> Option<f64> {
+    let json: String = json.chars().filter(|c| !c.is_whitespace()).collect();
+    let at = json.find("{\"mode\":\"flit-cxl0\",\"threads\":1,")?;
+    extract_f64(&json[at..], "sim_ns_per_op")
+}
+
+/// The headline lines a previous output carries, oldest first: its flat
+/// `trajectory` array, or, for the older nested format, one line per
+/// level of its `"baseline"` chain (each level's own fields precede its
+/// `"baseline"` key).
+fn prior_trajectory(prev: &str) -> Vec<String> {
+    if let Some(at) = prev.find("\"trajectory\": [") {
+        let body = &prev[at..];
+        let body = &body[body.find('\n').unwrap_or(body.len())..];
+        let body = &body[..body.find("\n  ]").unwrap_or(body.len())];
+        return body
+            .lines()
+            .map(|l| l.trim().trim_end_matches(',').to_string())
+            .filter(|l| !l.is_empty())
+            .collect();
+    }
+    let mut levels: Vec<String> = prev
+        .split("\"baseline\":")
+        .filter_map(|level| {
+            let label = extract_field(level, "label")?.trim_matches('"');
+            let quick = extract_field(level, "quick") == Some("true");
+            let mops = extract_f64(level, "primitive_8t_mops")?;
+            Some(headline(label, quick, mops, queue_1t_sim_ns(level)))
+        })
+        .collect();
+    levels.reverse();
+    levels
 }
 
 fn main() {
@@ -950,8 +1004,26 @@ fn main() {
     });
     let speedup = baseline_raw
         .as_deref()
-        .and_then(extract_8t_mops)
+        .and_then(|raw| extract_f64(raw, "primitive_8t_mops"))
         .map(|before| prim_8t.mops_per_sec() / before);
+    let current = headline(
+        &opts.label,
+        opts.quick,
+        prim_8t.mops_per_sec(),
+        queue_rows
+            .iter()
+            .find(|r| r.threads == 1 && r.mode == PersistMode::FlitCxl0.name())
+            .map(|r| r.sim_ns_per_op),
+    );
+    let label_tag = format!("{{\"label\":\"{}\",", opts.label);
+    let mut trajectory: Vec<String> = baseline_raw
+        .as_deref()
+        .map(prior_trajectory)
+        .unwrap_or_default()
+        .into_iter()
+        .filter(|line| !line.starts_with(&label_tag))
+        .collect();
+    trajectory.push(current);
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -1022,15 +1094,63 @@ fn main() {
         json.push_str(&rows.join(",\n"));
         json.push_str("\n  ]");
     }
-    if let Some(raw) = &baseline_raw {
-        json.push_str(",\n  \"baseline\": ");
-        json.push_str(raw.trim());
-    }
-    json.push_str("\n}\n");
+    json.push_str(",\n  \"trajectory\": [\n    ");
+    json.push_str(&trajectory.join(",\n    "));
+    json.push_str("\n  ]\n}\n");
 
     std::fs::write(&opts.out, &json).expect("write output JSON");
     eprintln!("perf_baseline: wrote {}", opts.out);
     if let Some(s) = speedup {
         eprintln!("perf_baseline: 8-thread primitive speedup vs baseline = {s:.2}x");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_nested_file_seeds_a_flat_trajectory_oldest_first() {
+        let nested = r#"{
+  "label": "b",
+  "quick": false,
+  "primitive_8t_mops": 2.000,
+  "primitive_8t_speedup_vs_baseline": 2.000,
+  "queue_sweep": [
+    {"mode":"flit-cxl0","threads":1,"ops":8,"sim_ns_per_op":5316.000}
+  ],
+  "baseline": {
+  "label": "a",
+  "quick": true,
+  "primitive_8t_mops": 1.000,
+  "queue_sweep": [
+   {
+    "mode": "flit-cxl0",
+    "threads": 1,
+    "sim_ns_per_op": 849.0
+   }
+  ]
+}
+}"#;
+        assert_eq!(
+            prior_trajectory(nested),
+            vec![
+                headline("a", true, 1.0, Some(849.0)),
+                headline("b", false, 2.0, Some(5316.0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_flat_trajectory_carries_forward_verbatim() {
+        let lines = vec![
+            headline("a", true, 1.0, None),
+            headline("b", false, 2.0, Some(5316.0)),
+        ];
+        let flat = format!(
+            "{{\n  \"label\": \"b\",\n  \"trajectory\": [\n    {}\n  ]\n}}\n",
+            lines.join(",\n    ")
+        );
+        assert_eq!(prior_trajectory(&flat), lines);
     }
 }

@@ -8,9 +8,8 @@ use cxl0_model::{Loc, MachineId, SystemConfig};
 
 use crate::alloc::layout::{
     decode_addr, decode_gen, head_slot, head_top, head_ver, head_word, header_class, header_gen,
-    header_next, header_state, header_word, intent_block, null_word, op_class, op_kind, op_word,
-    popping_word, ptr_word, seed_gen, GEN_MASK, HUGE_CLASS, OP_ALLOC, OP_FREE, ST_ALLOCATED,
-    ST_FREE, ST_FREEING,
+    header_next, header_state, header_word, intent_word, null_word, popping_word, ptr_word,
+    seed_gen, GEN_MASK, HUGE_CLASS, OP_ALLOC, OP_FREE, ST_ALLOCATED, ST_FREE,
 };
 use crate::backend::{AsNode, NodeHandle};
 use crate::error::OpResult;
@@ -34,9 +33,9 @@ pub const INTENT_SLOTS: usize = 32;
 const HEADER_META_CELLS: u32 = 4;
 
 /// Durable metadata cells the allocator reserves at the start of its
-/// range: region header + one free-list head per class + two cells per
+/// range: region header + one free-list head per class + one cell per
 /// intent slot.
-pub const META_CELLS: u32 = HEADER_META_CELLS + NUM_CLASSES as u32 + 2 * INTENT_SLOTS as u32;
+pub const META_CELLS: u32 = HEADER_META_CELLS + NUM_CLASSES as u32 + INTENT_SLOTS as u32;
 
 /// Region-header magic ("CXL0ALOC", little-endian-ish).
 const MAGIC: u64 = 0x4358_4c30_414c_4f43;
@@ -141,7 +140,8 @@ pub struct AllocRecovery {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TornAlloc {
     /// After the `POPPING` claim CAS, before the intent records the
-    /// block. The head is left claimed; only recovery unsticks it.
+    /// block. The head is left claimed and the slot idle; only recovery
+    /// unsticks it.
     Claimed,
     /// After the intent records the popped block, before the head swings.
     Recorded,
@@ -158,9 +158,11 @@ pub enum TornAlloc {
 pub enum TornFree {
     /// After the intent latches, before the header claim CAS.
     Latched,
-    /// After the header claim CAS (state `FREEING`), before the push.
+    /// After the claim-and-link CAS (header `FREE`, generation bumped,
+    /// linked to the observed top), before the head CAS.
     Claimed,
-    /// After the header links into the free list, before the head CAS.
+    /// Right before the head CAS, the header linked to the head it
+    /// expects (single-threaded, the `Claimed` state).
     Linked,
     /// After the push completes, before the intent clears.
     Pushed,
@@ -377,15 +379,11 @@ impl Allocator {
         )
     }
 
-    fn op_cell(&self, slot: usize) -> Loc {
+    fn intent_cell(&self, slot: usize) -> Loc {
         Loc::new(
             self.region,
-            self.meta_base + HEADER_META_CELLS + NUM_CLASSES as u32 + 2 * slot as u32,
+            self.meta_base + HEADER_META_CELLS + NUM_CLASSES as u32 + slot as u32,
         )
-    }
-
-    fn block_cell(&self, slot: usize) -> Loc {
-        Loc::new(self.op_cell(slot).owner, self.op_cell(slot).addr.0 + 1)
     }
 
     fn header_cell(&self, payload: u32) -> Loc {
@@ -472,27 +470,18 @@ impl Allocator {
     pub fn alloc(&self, at: &impl AsNode, cells: u32) -> OpResult<Option<BlockRef>> {
         assert!(cells > 0, "zero-cell allocations are meaningless");
         let node = at.as_node();
-        let result = self.alloc_inner(node, cells, None)?;
+        let result = self.alloc_inner(node, cells)?;
         self.persist.complete_op(node)?;
         Ok(result)
     }
 
-    fn alloc_inner(
-        &self,
-        node: &NodeHandle,
-        cells: u32,
-        stop: Option<TornAlloc>,
-    ) -> OpResult<Option<BlockRef>> {
+    fn alloc_inner(&self, node: &NodeHandle, cells: u32) -> OpResult<Option<BlockRef>> {
         let (payload_cells, class_tag) = match class_for(cells) {
             Some(class) => {
-                match self.pop(node, class, stop)? {
-                    PopOutcome::Got(block) => {
-                        self.freelist_hits.fetch_add(1, Ordering::Relaxed);
-                        self.note_alloc(class_cells(class));
-                        return Ok(Some(block));
-                    }
-                    PopOutcome::Torn(_) => return Ok(None),
-                    PopOutcome::Empty => {}
+                if let PopOutcome::Got(block) = self.pop(node, class, None)? {
+                    self.freelist_hits.fetch_add(1, Ordering::Relaxed);
+                    self.note_alloc(class_cells(class));
+                    return Ok(Some(block));
                 }
                 (class_cells(class), class as u64)
             }
@@ -534,18 +523,20 @@ impl Allocator {
         self.hw_cells.fetch_max(live, Ordering::Relaxed);
     }
 
-    /// The two-phase crash-consistent pop:
+    /// The two-phase crash-consistent pop, five persisted writes:
     ///
     /// 1. **Claim**: CAS the class head from plain to `POPPING(slot)`.
-    ///    The claim commits the pop to this intent slot.
-    /// 2. **Record**: persist the claimed block (+ its generation) into
-    ///    the slot's intent cells.
+    ///    The claim commits the pop to this intent slot. Nothing is
+    ///    latched yet: a crash here leaves an idle slot and a claimed
+    ///    head, which recovery reverts.
+    /// 2. **Record**: persist the claimed block (+ its generation) as
+    ///    the slot's one-word alloc intent.
     /// 3. **Swing**: CAS the head past the block (anyone who observes
     ///    the recorded intent may help).
     /// 4. Mark the header `ALLOCATED` and clear the intent.
     ///
     /// The record (2) strictly follows the claim (1), so a latched
-    /// intent block always names a block this slot really popped — a
+    /// alloc intent always names a block this slot really popped — a
     /// stale intent can never cause recovery to free someone else's
     /// live block.
     fn pop(
@@ -554,7 +545,7 @@ impl Allocator {
         class: usize,
         stop: Option<TornAlloc>,
     ) -> OpResult<PopOutcome> {
-        // Cheap peek before leasing a slot and latching an intent.
+        // Cheap peek before leasing a slot; the claim reuses it.
         let head = self
             .persist
             .shared_load(node, self.head_cell(class), true)?;
@@ -562,7 +553,7 @@ impl Allocator {
             return Ok(PopOutcome::Empty);
         }
         let slot = self.slots.acquire();
-        let outcome = self.pop_with_slot(node, class, slot, stop);
+        let outcome = self.pop_with_slot(node, class, slot, head, stop);
         match &outcome {
             // A crash error or a deliberate tear leaves the lease
             // leaked: the latched durable intent must survive untouched
@@ -578,37 +569,24 @@ impl Allocator {
         node: &NodeHandle,
         class: usize,
         slot: usize,
+        mut head: u64,
         stop: Option<TornAlloc>,
     ) -> OpResult<PopOutcome> {
         let head_cell = self.head_cell(class);
-        // Latch the intent: zero the block cell first so a crash between
-        // the two stores can never expose a stale block reference.
-        self.persist
-            .private_store(node, self.block_cell(slot), 0, true)?;
-        self.persist.private_store(
-            node,
-            self.op_cell(slot),
-            op_word(OP_ALLOC, class as u64),
-            true,
-        )?;
         loop {
-            let head = self.persist.shared_load(node, head_cell, true)?;
-            if head_slot(head).is_some() {
-                self.help(node, class, head)?;
-                continue;
+            while head_slot(head).is_some() {
+                head = self.help(node, class, head)?;
             }
             let Some(top) = head_top(head) else {
-                // Emptied while we latched: unlatch and fall back.
-                self.persist
-                    .private_store(node, self.op_cell(slot), 0, true)?;
                 return Ok(PopOutcome::Empty);
             };
             // (1) claim
-            if self
+            let claimed = popping_word(head, slot);
+            if let Err(actual) = self
                 .persist
-                .shared_cas(node, head_cell, head, popping_word(head, slot), true)?
-                .is_err()
+                .shared_cas(node, head_cell, head, claimed, true)?
             {
+                head = actual;
                 continue;
             }
             let payload = Loc::new(self.region, top);
@@ -624,18 +602,18 @@ impl Allocator {
             // (2) record
             self.persist.private_store(
                 node,
-                self.block_cell(slot),
-                intent_block(top, gen),
+                self.intent_cell(slot),
+                intent_word(OP_ALLOC, class as u64, gen, top),
                 true,
             )?;
             if stop == Some(TornAlloc::Recorded) {
                 return Ok(PopOutcome::Torn(payload));
             }
             // (3) swing (a helper may have done it already)
-            let swung = head_word(header_next(hdr), head_ver(head).wrapping_add(2));
-            let _ =
-                self.persist
-                    .shared_cas(node, head_cell, popping_word(head, slot), swung, true)?;
+            let swung = head_word(header_next(hdr), head_ver(claimed).wrapping_add(1));
+            let _ = self
+                .persist
+                .shared_cas(node, head_cell, claimed, swung, true)?;
             if stop == Some(TornAlloc::Swung) {
                 return Ok(PopOutcome::Torn(payload));
             }
@@ -650,7 +628,7 @@ impl Allocator {
                 return Ok(PopOutcome::Torn(payload));
             }
             self.persist
-                .private_store(node, self.op_cell(slot), 0, true)?;
+                .private_store(node, self.intent_cell(slot), 0, true)?;
             node.check_alloc(payload, class_cells(class), gen);
             return Ok(PopOutcome::Got(BlockRef {
                 loc: payload,
@@ -660,25 +638,22 @@ impl Allocator {
         }
     }
 
-    /// Resolves an observed `POPPING` head: once the claiming slot's
-    /// intent records the claimed block, anyone can complete the swing.
-    /// Until it does, we wait (the window is two private stores wide; a
+    /// Resolves an observed `POPPING` head and returns the head word
+    /// seen afterwards: once the claiming slot's intent records the
+    /// claimed block, anyone can complete the swing. Until it does, we
+    /// wait (the window is one load and one private store wide; a
     /// machine that crashes inside it stalls this class until
     /// [`Allocator::recover`], which reverts the claim).
-    fn help(&self, node: &NodeHandle, class: usize, observed: u64) -> OpResult<()> {
+    fn help(&self, node: &NodeHandle, class: usize, observed: u64) -> OpResult<u64> {
         let head_cell = self.head_cell(class);
         let slot = head_slot(observed).expect("help is only called on POPPING heads");
         let top = head_top(observed).expect("a POPPING head always has a top");
         let mut spins = 0u32;
         loop {
-            let cur = self.persist.shared_load(node, head_cell, true)?;
-            if cur != observed {
-                return Ok(());
-            }
-            let recorded = self
+            let intent = self
                 .persist
-                .shared_load(node, self.block_cell(slot), true)?;
-            if decode_addr(recorded) == Some(top) {
+                .shared_load(node, self.intent_cell(slot), true)?;
+            if header_state(intent) == OP_ALLOC && header_next(intent) == Some(top) {
                 let hdr = self
                     .persist
                     .shared_load(node, self.header_cell(top), true)?;
@@ -686,13 +661,29 @@ impl Allocator {
                 let _ = self
                     .persist
                     .shared_cas(node, head_cell, observed, swung, true)?;
-                return Ok(());
+            } else {
+                spins += 1;
+                if spins.is_multiple_of(64) {
+                    std::thread::yield_now();
+                }
             }
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
+            let cur = self.persist.shared_load(node, head_cell, true)?;
+            if cur != observed {
+                return Ok(cur);
             }
         }
+    }
+
+    /// Loads class `class`'s head, helping in-flight pops until it is
+    /// plain (unclaimed).
+    fn plain_head(&self, node: &NodeHandle, class: usize) -> OpResult<u64> {
+        let mut head = self
+            .persist
+            .shared_load(node, self.head_cell(class), true)?;
+        while head_slot(head).is_some() {
+            head = self.help(node, class, head)?;
+        }
+        Ok(head)
     }
 
     // ---- free -----------------------------------------------------------
@@ -736,7 +727,7 @@ impl Allocator {
         let hdr = self.persist.shared_load(node, header_cell, true)?;
         match header_state(hdr) {
             ST_ALLOCATED => {}
-            ST_FREE | ST_FREEING => return Ok(FreeOutcome::Refused(FreeError::DoubleFree)),
+            ST_FREE => return Ok(FreeOutcome::Refused(FreeError::DoubleFree)),
             _ => return Ok(FreeOutcome::Refused(FreeError::NotABlock)),
         }
         let class = header_class(hdr);
@@ -766,6 +757,10 @@ impl Allocator {
         outcome
     }
 
+    /// The free protocol, four persisted writes: latch the intent, then
+    /// one header CAS `ALLOCATED(g)` → `FREE(g+1, next = observed top)`
+    /// that both claims the block (exactly one concurrent free of this
+    /// incarnation wins) and links it, then the head CAS, then clear.
     fn free_with_slot(
         &self,
         node: &NodeHandle,
@@ -777,89 +772,81 @@ impl Allocator {
         let addr = payload.addr.0;
         let class = header_class(hdr);
         let gen = header_gen(hdr);
-        // Latch the intent (block before op: the op word is the latch).
-        self.persist
-            .private_store(node, self.block_cell(slot), intent_block(addr, gen), true)?;
-        self.persist
-            .private_store(node, self.op_cell(slot), op_word(OP_FREE, class), true)?;
+        self.persist.private_store(
+            node,
+            self.intent_cell(slot),
+            intent_word(OP_FREE, class, gen, addr),
+            true,
+        )?;
         if stop == Some(TornFree::Latched) {
             return Ok(FreeOutcome::Torn);
         }
-        // Claim: exactly one concurrent free of this incarnation wins.
+        let new_gen = gen.wrapping_add(1) & GEN_MASK;
+        let head = self.plain_head(node, class as usize)?;
         if self
             .persist
             .shared_cas(
                 node,
                 self.header_cell(addr),
                 hdr,
-                header_word(ST_FREEING, class, gen, None),
+                header_word(ST_FREE, class, new_gen, head_top(head)),
                 true,
             )?
             .is_err()
         {
             self.persist
-                .private_store(node, self.op_cell(slot), 0, true)?;
+                .private_store(node, self.intent_cell(slot), 0, true)?;
             return Ok(FreeOutcome::Refused(FreeError::DoubleFree));
         }
         if stop == Some(TornFree::Claimed) {
             return Ok(FreeOutcome::Torn);
         }
-        let new_gen = gen.wrapping_add(1) & GEN_MASK;
-        if self
-            .push(node, class as usize, addr, new_gen, stop)?
-            .is_some()
-        {
+        if self.push(node, class as usize, addr, new_gen, Some(head), stop)? {
             return Ok(FreeOutcome::Torn);
         }
         self.persist
-            .private_store(node, self.op_cell(slot), 0, true)?;
+            .private_store(node, self.intent_cell(slot), 0, true)?;
         Ok(FreeOutcome::Done)
     }
 
-    /// Links `addr` (generation already bumped to `new_gen`) onto its
-    /// class free list. Returns `Some(loc)` when a tear hook stopped.
+    /// Publishes `addr`, generation already bumped to `new_gen`, as the
+    /// top of class `class`'s free list. `linked` is the plain head word
+    /// its header already links to, if any; otherwise, and after every
+    /// lost head CAS, the header is (re)linked to a fresh head with a
+    /// private store — the block is exclusively ours until the head CAS
+    /// publishes it. Returns `true` when a tear hook stopped.
     fn push(
         &self,
         node: &NodeHandle,
         class: usize,
         addr: u32,
         new_gen: u64,
+        mut linked: Option<u64>,
         stop: Option<TornFree>,
-    ) -> OpResult<Option<Loc>> {
-        let head_cell = self.head_cell(class);
+    ) -> OpResult<bool> {
         loop {
-            let head = self.persist.shared_load(node, head_cell, true)?;
-            if head_slot(head).is_some() {
-                self.help(node, class, head)?;
-                continue;
-            }
-            // The block is exclusively ours until the head CAS publishes
-            // it: a persistent private store suffices for the link.
-            self.persist.private_store(
-                node,
-                self.header_cell(addr),
-                header_word(ST_FREE, class as u64, new_gen, head_top(head)),
-                true,
-            )?;
+            let head = match linked {
+                Some(head) => head,
+                None => {
+                    let head = self.plain_head(node, class)?;
+                    let hdr = header_word(ST_FREE, class as u64, new_gen, head_top(head));
+                    self.persist
+                        .private_store(node, self.header_cell(addr), hdr, true)?;
+                    head
+                }
+            };
             if stop == Some(TornFree::Linked) {
-                return Ok(Some(Loc::new(self.region, addr)));
+                return Ok(true);
             }
+            let pushed = head_word(Some(addr), head_ver(head).wrapping_add(1));
             if self
                 .persist
-                .shared_cas(
-                    node,
-                    head_cell,
-                    head,
-                    head_word(Some(addr), head_ver(head).wrapping_add(1)),
-                    true,
-                )?
+                .shared_cas(node, self.head_cell(class), head, pushed, true)?
                 .is_ok()
             {
-                if stop == Some(TornFree::Pushed) {
-                    return Ok(Some(Loc::new(self.region, addr)));
-                }
-                return Ok(None);
+                return Ok(stop == Some(TornFree::Pushed));
             }
+            linked = None;
         }
     }
 
@@ -901,18 +888,17 @@ impl Allocator {
         // (2) latched intents.
         let mut restored: Vec<u32> = Vec::new();
         for slot in 0..INTENT_SLOTS {
-            let op = self.persist.shared_load(node, self.op_cell(slot), true)?;
-            if op == 0 {
+            let intent = self
+                .persist
+                .shared_load(node, self.intent_cell(slot), true)?;
+            if intent == 0 {
                 continue;
             }
             report.sealed_intents += 1;
-            let kind = op_kind(op);
-            let class = op_class(op) as usize;
-            let recorded = self
-                .persist
-                .shared_load(node, self.block_cell(slot), true)?;
-            if let Some(addr) = decode_addr(recorded) {
-                let expected_gen = decode_gen(recorded);
+            let kind = header_state(intent);
+            let class = header_class(intent) as usize;
+            if let Some(addr) = header_next(intent) {
+                let expected_gen = header_gen(intent);
                 if class < NUM_CLASSES
                     && addr > self.data_base
                     && addr < self.limit
@@ -920,13 +906,13 @@ impl Allocator {
                     && self.intent_needs_push(node, kind, class, addr, expected_gen)?
                 {
                     let new_gen = expected_gen.wrapping_add(1) & GEN_MASK;
-                    self.push(node, class, addr, new_gen, None)?;
+                    self.push(node, class, addr, new_gen, None, None)?;
                     restored.push(addr);
                     report.restored_blocks += 1;
                 }
             }
             self.persist
-                .private_store(node, self.op_cell(slot), 0, true)?;
+                .private_store(node, self.intent_cell(slot), 0, true)?;
         }
         // (3) void all leases.
         self.slots.reset();
@@ -966,7 +952,7 @@ impl Allocator {
             // A free intent: complete it unless the push already
             // happened (or the intent is stale).
             OP_FREE => match state {
-                ST_ALLOCATED | ST_FREEING if gen == expected_gen => true,
+                ST_ALLOCATED if gen == expected_gen => true,
                 ST_FREE if gen == bumped => !self.list_contains(node, class, addr)?,
                 _ => false,
             },
@@ -975,16 +961,22 @@ impl Allocator {
         Ok(needs)
     }
 
-    /// Walks class `class`'s free list looking for `addr` (recovery
-    /// only; bounded by the block area size against corrupted links).
-    fn list_contains(&self, node: &NodeHandle, class: usize, addr: u32) -> OpResult<bool> {
+    /// Walks class `class`'s free list top first until `stop` returns
+    /// `true` (reported back), bounded by the block area size and cut at
+    /// any out-of-area address, against corrupted links.
+    fn walk_list(
+        &self,
+        node: &NodeHandle,
+        class: usize,
+        mut stop: impl FnMut(u32) -> bool,
+    ) -> OpResult<bool> {
         let head = self
             .persist
             .shared_load(node, self.head_cell(class), true)?;
         let mut cur = head_top(head);
         let mut steps = self.limit - self.data_base;
         while let Some(a) = cur {
-            if a == addr {
+            if stop(a) {
                 return Ok(true);
             }
             if steps == 0 || a <= self.data_base || a >= self.limit {
@@ -995,6 +987,10 @@ impl Allocator {
             cur = header_next(hdr);
         }
         Ok(false)
+    }
+
+    fn list_contains(&self, node: &NodeHandle, class: usize, addr: u32) -> OpResult<bool> {
+        self.walk_list(node, class, |a| a == addr)
     }
 
     // ---- test hooks -----------------------------------------------------
@@ -1012,30 +1008,20 @@ impl Allocator {
         stage: TornAlloc,
     ) -> OpResult<Option<Loc>> {
         let node = at.as_node();
-        let result = self.alloc_torn_inner(node, cells, stage)?;
-        self.persist.complete_op(node)?;
-        Ok(result)
-    }
-
-    fn alloc_torn_inner(
-        &self,
-        node: &NodeHandle,
-        cells: u32,
-        stage: TornAlloc,
-    ) -> OpResult<Option<Loc>> {
-        let Some(class) = class_for(cells) else {
-            return Ok(None);
-        };
-        match self.pop(node, class, Some(stage))? {
-            PopOutcome::Torn(loc) => Ok(Some(loc)),
-            PopOutcome::Got(b) => {
-                // Raced past the tear point is impossible single-threaded;
+        let mut torn = None;
+        if let Some(class) = class_for(cells) {
+            match self.pop(node, class, Some(stage))? {
+                PopOutcome::Torn(loc) => torn = Some(loc),
+                // Racing past the tear point is impossible single-threaded;
                 // treat a completed pop as "nothing torn" defensively.
-                let _ = self.free_inner(node, b.loc, None)?;
-                Ok(None)
+                PopOutcome::Got(b) => {
+                    let _ = self.free_inner(node, b.loc, None)?;
+                }
+                PopOutcome::Empty => {}
             }
-            PopOutcome::Empty => Ok(None),
         }
+        self.persist.complete_op(node)?;
+        Ok(torn)
     }
 
     /// Testing hook: run a free and stop at `stage` (see
@@ -1063,17 +1049,10 @@ impl Allocator {
         let node = at.as_node();
         let class = class_for(cells).expect("debug_free_list takes a reclaimable size");
         let mut out = Vec::new();
-        let head = self
-            .persist
-            .shared_load(node, self.head_cell(class), true)?;
-        let mut cur = head_top(head);
-        let mut steps = self.limit - self.data_base;
-        while let (Some(a), true) = (cur, steps > 0) {
+        self.walk_list(node, class, |a| {
             out.push(Loc::new(self.region, a));
-            steps -= 1;
-            let hdr = self.persist.shared_load(node, self.header_cell(a), true)?;
-            cur = header_next(hdr);
-        }
+            false
+        })?;
         self.persist.complete_op(node)?;
         Ok(out)
     }

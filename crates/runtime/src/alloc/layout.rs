@@ -17,6 +17,10 @@
 //!   address, a `POPPING` claim (flag + intent-slot index) installed by
 //!   the two-phase pop, and a version counter bumped by every successful
 //!   CAS so a pushed-back block never re-creates an old head word.
+//!
+//! An **intent** (one cell per intent slot) reuses the header layout:
+//! the op kind in the state field, then the block's class, the
+//! generation the op observed and the block address (`0` = idle slot).
 
 /// Bits of an encoded address (`addr + 1`; `0` = null).
 pub(crate) const PTR_BITS: u32 = 34;
@@ -40,9 +44,6 @@ const STATE_MASK: u64 = 0x7;
 pub(crate) const ST_ALLOCATED: u64 = 1;
 /// Header state: on (or being pushed onto) its class free list.
 pub(crate) const ST_FREE: u64 = 2;
-/// Header state: claimed by an in-flight `free` (between the claim CAS
-/// and the free-list push).
-pub(crate) const ST_FREEING: u64 = 3;
 
 /// Class tag of an oversize (exact-fit, unreclaimable) block.
 pub(crate) const HUGE_CLASS: u64 = CLASS_MASK;
@@ -99,7 +100,7 @@ pub(crate) fn null_word(gen: u64) -> u64 {
 }
 
 /// The address carried by a pointer word (also used for header `next`
-/// fields and intent block cells). `None` when the pointer bits are 0.
+/// fields). `None` when the pointer bits are 0.
 pub(crate) fn decode_addr(raw: u64) -> Option<u32> {
     let p = raw & PTR_MASK;
     if p == 0 {
@@ -109,7 +110,7 @@ pub(crate) fn decode_addr(raw: u64) -> Option<u32> {
     }
 }
 
-/// The generation carried by a pointer word or intent block cell.
+/// The generation carried by a pointer word.
 pub(crate) fn decode_gen(raw: u64) -> u64 {
     (raw >> GEN_SHIFT) & GEN_MASK
 }
@@ -179,24 +180,13 @@ pub(crate) const OP_ALLOC: u64 = 1;
 /// Intent opcode: a free is in flight.
 pub(crate) const OP_FREE: u64 = 2;
 
-/// Builds an intent op word (`0` = idle slot).
-pub(crate) fn op_word(op: u64, class: u64) -> u64 {
+/// Builds a one-word intent in header layout: `op` in the state field,
+/// then the block's class, the generation the op observed (so recovery
+/// can tell a live intent from a stale one) and the block address. Read
+/// it back with `header_state`/`header_class`/`header_gen`/`header_next`.
+pub(crate) fn intent_word(op: u64, class: u64, gen: u64, addr: u32) -> u64 {
     debug_assert!(op == OP_ALLOC || op == OP_FREE);
-    (class << 8) | op
-}
-
-pub(crate) fn op_kind(word: u64) -> u64 {
-    word & 0xff
-}
-
-pub(crate) fn op_class(word: u64) -> u64 {
-    (word >> 8) & CLASS_MASK
-}
-
-/// An intent block cell: the affected block + the generation the op
-/// observed, so recovery can tell a live intent from a stale one.
-pub(crate) fn intent_block(addr: u32, gen: u64) -> u64 {
-    ptr_word(addr, gen)
+    header_word(op, class, gen, Some(addr))
 }
 
 #[cfg(test)]
@@ -273,11 +263,11 @@ mod tests {
 
     #[test]
     fn intent_words_round_trip() {
-        let w = op_word(OP_FREE, 11);
-        assert_eq!(op_kind(w), OP_FREE);
-        assert_eq!(op_class(w), 11);
-        let b = intent_block(99, 6);
-        assert_eq!(decode_addr(b), Some(99));
-        assert_eq!(decode_gen(b), 6);
+        let w = intent_word(OP_FREE, 11, 6, 99);
+        assert_ne!(w, 0, "a latched intent is never an idle slot");
+        assert_eq!(header_state(w), OP_FREE);
+        assert_eq!(header_class(w), 11);
+        assert_eq!(header_gen(w), 6);
+        assert_eq!(header_next(w), Some(99));
     }
 }

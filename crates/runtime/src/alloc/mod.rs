@@ -14,8 +14,8 @@
 //! The allocator owns a range of the memory node's shared segment:
 //!
 //! ```text
-//! [ region header | 15 free-list heads | 32 intent slots | block area … ]
-//!   META_CELLS durable metadata cells                      bump tail
+//! [ region header | 15 free-list heads | 32 intent cells | block area … ]
+//!   META_CELLS = 4 + 15 + 32 durable metadata cells        bump tail
 //! ```
 //!
 //! Every block is `1 + payload` cells: a **header** (state, size class,
@@ -34,21 +34,23 @@
 //! A crash must never *lose* a block (reachable from no free list and
 //! owned by no one) nor hand one out *twice* (reachable from a free
 //! list while live). Both are prevented by durable **allocation
-//! intents**:
+//! intents**, one word per slot (op, class, generation, block). Each
+//! persisted write costs one synchronous flush under FliT-CXL0:
 //!
-//! * **free**: latch an intent naming the block and its generation →
-//!   claim the header (`ALLOCATED → FREEING`, the only winner of a
-//!   racing double free) → link + CAS-push onto the class list → clear
-//!   the intent. A crash anywhere in between leaves a latched intent;
-//!   recovery completes the push (deduplicating via a list walk).
-//! * **alloc**: pops are two-phase. The popper first CASes the list
-//!   head into a `POPPING(slot)` *claim*, then records the claimed
-//!   block into its intent slot, then swings the head past it. Because
-//!   the record strictly follows the claim, a latched alloc intent
-//!   always names a block this slot really popped — recovery can push
-//!   it back without ever freeing someone else's live block. Competing
-//!   operations that observe a claim help complete the swing once the
-//!   intent is recorded.
+//! * **free** (4 flushes): latch the intent → one header CAS
+//!   `ALLOCATED(g) → FREE(g+1, next = top)` claims the block (the only
+//!   winner of a racing double free) and links it → CAS-push (relinking
+//!   only if the head moved) → clear. A crash in between leaves a
+//!   latched intent; recovery completes the push (deduplicating via a
+//!   list walk).
+//! * **alloc** (5 flushes when recycled): pops are two-phase. The popper
+//!   CASes the list head into a `POPPING(slot)` *claim* (recovery
+//!   reverts a bare claim), records the claimed block as its intent,
+//!   swings the head, marks the header and clears. Because the record
+//!   strictly follows the claim, a latched alloc intent always names a
+//!   block this slot really popped — recovery can push it back without
+//!   ever freeing someone else's live block. Competing operations help
+//!   complete the swing once the intent is recorded.
 //! * **recovery** ([`Allocator::recover`], run from
 //!   [`Session::recover_roots`](crate::api::Session::recover_roots)):
 //!   revert torn claims, then seal every latched intent — pushing the

@@ -653,11 +653,13 @@ mod tests {
     fn buffered_epoch_squeezing_out_the_allocator_errors_not_panics() {
         // The up-front check covers registry + allocator metadata; the
         // buffered epoch's 4*capacity+1 cells are only discovered when
-        // the metadata is carved out — that path must error too.
+        // the metadata is carved out — that path must error too. The
+        // smallest capacity whose epoch cells leave < META_CELLS free:
+        let capacity = (1000 - META_CELLS) / 4 + 1;
         let err = Cluster::builder(SystemConfig::symmetric_nvm(2, 1000))
             .root_capacity(0)
             .persist(PersistMode::Buffered {
-                capacity: 230, // 921 epoch cells leave < META_CELLS free
+                capacity,
                 sync_interval: 0,
             })
             .build()

@@ -413,7 +413,8 @@ pub struct StatsSnapshot {
     pub combine_elections: u64,
     /// Combining fronts: per-operation persistence syncs avoided —
     /// batched stores folded under one batch barrier, plus eliminated
-    /// ops that skipped persistence entirely.
+    /// ops that skipped persistence entirely. Always zero under
+    /// strategies that issue no per-op sync (`none`, buffered).
     pub combine_barriers_saved: u64,
     /// Combining fronts: inserts served from the board's spare-node
     /// cache instead of an allocator round trip.

@@ -192,8 +192,9 @@ impl CombineStats {
     }
 
     /// Per-op persistence syncs avoided: batched ops folded under one
-    /// batch barrier (when the strategy defers) plus eliminated ops,
-    /// which skip persistence entirely.
+    /// batch barrier plus eliminated ops, which skip persistence
+    /// entirely. Counted only when the strategy defers batches (one
+    /// that issues no per-op sync has none to save).
     pub fn barriers_saved(&self) -> u64 {
         self.barriers_saved.load(Ordering::Relaxed)
     }
@@ -758,11 +759,12 @@ impl<S: Combinable> Combined<S> {
         stats.ops.fetch_add(claimed.len() as u64, Ordering::Relaxed);
         stats.eliminations.fetch_add(2 * pairs, Ordering::Relaxed);
         stats.spare_reuses.fetch_add(reused, Ordering::Relaxed);
-        let mut saved = 2 * pairs;
+        // Only a strategy that syncs per op has syncs to save: eliminated
+        // pairs skip two, and a batch folds `applied` into one.
         if self.inner.persistence().defers_batches() {
-            saved += applied.saturating_sub(1);
+            let saved = 2 * pairs + applied.saturating_sub(1);
+            stats.barriers_saved.fetch_add(saved, Ordering::Relaxed);
         }
-        stats.barriers_saved.fetch_add(saved, Ordering::Relaxed);
         match reclaim_err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -880,7 +882,7 @@ mod tests {
     use super::*;
     use crate::alloc::Allocator;
     use crate::backend::SimFabric;
-    use crate::flit::FlitCxl0;
+    use crate::flit::{FlitCxl0, NoPersistence};
     use crate::flit_async::FlitAsync;
     use cxl0_model::{MachineId, SystemConfig};
 
@@ -986,6 +988,22 @@ mod tests {
         // The mixed workload on few cores virtually always combines at
         // least one opposite pair; the counter must be even either way.
         assert!(s.stats().eliminations().is_multiple_of(2));
+    }
+
+    #[test]
+    fn eliminations_save_no_barriers_without_per_op_syncs() {
+        let (f, _q, s) = setup(Arc::new(NoPersistence));
+        // A hand-announced push/pop pair eliminates in one combiner pass.
+        for (slot, kind) in s.board.slots.iter().zip([PENDING_INSERT, PENDING_REMOVE]) {
+            slot.arg.store(7, Ordering::Relaxed);
+            slot.state.store(kind, Ordering::Release);
+        }
+        s.board.watermark.store(2, Ordering::Release);
+        let guard = s.board.try_lock().expect("no other combiner");
+        s.combine(&f.node(MachineId(0))).unwrap();
+        drop(guard);
+        assert_eq!(s.stats().eliminations(), 2);
+        assert_eq!(s.stats().barriers_saved(), 0, "no per-op sync to save");
     }
 
     #[test]

@@ -350,3 +350,75 @@ fn recover_roots_runs_the_allocator_sweep() {
     assert_eq!(again.loc, b.loc);
     assert!(alloc.debug_free_list(&s, 2).unwrap().is_empty());
 }
+
+/// The allocator's persist budget under FliT-CXL0 on one thread, where
+/// every flagged write pays exactly one synchronous flush: a recycled
+/// alloc issues 5 (claim, record, swing, mark, clear), a free 4 (latch,
+/// claim-and-link, push, clear), and a plain-queue enqueue+dequeue pair
+/// 14 — those two plus the queue's own 5.
+#[test]
+fn flit_cxl0_persist_budget_per_alloc_free_and_queue_pair() {
+    let cluster = Cluster::builder(SystemConfig::symmetric_nvm(2, 4096))
+        .persist(PersistMode::FlitCxl0)
+        .root_capacity(4)
+        .build()
+        .unwrap();
+    let s = cluster.session(MachineId(0));
+    let alloc = Arc::clone(s.allocator());
+    let flushes = |op: &dyn Fn()| {
+        let before = s.stats_delta();
+        op();
+        let d = s.stats_delta().since(&before);
+        d.lflushes + d.rflushes
+    };
+
+    let b = alloc.alloc(&s, 2).unwrap().unwrap();
+    assert_eq!(flushes(&|| alloc.free(&s, b.loc).unwrap().unwrap()), 4);
+    let recycled = || assert!(alloc.alloc(&s, 2).unwrap().unwrap().recycled);
+    assert_eq!(flushes(&recycled), 5);
+
+    let q = s.create_queue::<u64>("q").unwrap();
+    // The first pair allocates fresh; its dequeue frees the old dummy,
+    // which the measured pair's enqueue then recycles.
+    assert!(q.enqueue(&s, 1).unwrap());
+    assert_eq!(q.dequeue(&s).unwrap(), Some(1));
+    let before = s.stats_delta();
+    let pair = || {
+        assert!(q.enqueue(&s, 2).unwrap());
+        assert_eq!(q.dequeue(&s).unwrap(), Some(2));
+    };
+    assert_eq!(flushes(&pair), 14);
+    let d = s.stats_delta().since(&before);
+    assert_eq!((d.allocs, d.frees, d.freelist_hits), (1, 1, 1));
+}
+
+/// A free torn right after its claim-and-link CAS leaves the block's
+/// header linked to the top it observed, though the block never became
+/// the top. A later free pushes past that stale link; recovery must
+/// relink the torn block onto the current top, leaving every block on
+/// the list exactly once.
+#[test]
+fn free_torn_after_claim_relinks_its_stale_link_on_recovery() {
+    let cluster = Cluster::builder(SystemConfig::symmetric_nvm(2, 4096))
+        .persist(PersistMode::FlitCxl0)
+        .root_capacity(0)
+        .build()
+        .unwrap();
+    let mem = cluster.memory_node();
+    let s = cluster.session(MachineId(0));
+    let alloc = Arc::clone(s.allocator());
+    let [t, x, y] = [(); 3].map(|()| alloc.alloc(&s, 2).unwrap().unwrap().loc);
+
+    alloc.free(&s, t).unwrap().unwrap();
+    // X's header now links to T, but the head still names T.
+    alloc.torn_free(&s, x, TornFree::Claimed).unwrap().unwrap();
+    assert_eq!(alloc.debug_free_list(&s, 2).unwrap(), vec![t]);
+    alloc.free(&s, y).unwrap().unwrap();
+    assert_eq!(alloc.debug_free_list(&s, 2).unwrap(), vec![y, t]);
+
+    cluster.crash(mem);
+    cluster.recover(mem);
+    s.recover_roots().unwrap();
+    // X went on top, linked to Y rather than its stale T.
+    assert_eq!(alloc.debug_free_list(&s, 2).unwrap(), vec![x, y, t]);
+}
