@@ -61,8 +61,11 @@ use std::time::Instant;
 
 use cxl0_bench::{bench_cluster, bench_cluster_traced, MEM_NODE};
 use cxl0_model::{Loc, MachineId, StoreKind, SystemConfig};
-use cxl0_runtime::api::{Cluster, PersistMode};
-use cxl0_runtime::{AllocStats, OpKind, PhaseTiming, SimFabric, StatsSnapshot};
+use cxl0_runtime::api::{Cluster, PersistMode, Session};
+use cxl0_runtime::{
+    AllocStats, CombinedQueue, CombinedStack, DurableQueue, DurableStack, OpKind, PhaseTiming,
+    SimFabric, StatsSnapshot,
+};
 use cxl0_workloads::{KeyDist, OpMix, Workload, WorkloadOp};
 
 /// Thread counts of the sweep, per the ISSUE: 1/2/4/8.
@@ -363,6 +366,49 @@ fn queue_row(mode: PersistMode, threads: usize, pairs: u64, reps: u64) -> Row {
     )
 }
 
+/// The four fronts the combined sweep drives — plain or combined, queue
+/// or stack — seen as one insert/remove pair.
+trait PairFront: Send + Sync {
+    fn insert(&self, at: &Session, v: u64);
+    fn remove(&self, at: &Session);
+}
+
+impl PairFront for DurableQueue<u64> {
+    fn insert(&self, at: &Session, v: u64) {
+        self.enqueue(at, v).unwrap();
+    }
+    fn remove(&self, at: &Session) {
+        self.dequeue(at).unwrap();
+    }
+}
+
+impl PairFront for CombinedQueue<u64> {
+    fn insert(&self, at: &Session, v: u64) {
+        self.enqueue(at, v).unwrap();
+    }
+    fn remove(&self, at: &Session) {
+        self.dequeue(at).unwrap();
+    }
+}
+
+impl PairFront for DurableStack<u64> {
+    fn insert(&self, at: &Session, v: u64) {
+        self.push(at, v).unwrap();
+    }
+    fn remove(&self, at: &Session) {
+        self.pop(at).unwrap();
+    }
+}
+
+impl PairFront for CombinedStack<u64> {
+    fn insert(&self, at: &Session, v: u64) {
+        self.push(at, v).unwrap();
+    }
+    fn remove(&self, at: &Session) {
+        self.pop(at).unwrap();
+    }
+}
+
 /// Runs one combined-sweep row: plain or combined fronts over one
 /// shared queue or stack, same pair workload as the queue sweep.
 fn combined_sweep_row(
@@ -381,97 +427,43 @@ fn combined_sweep_row(
         mode.name(),
         if combined { "combined" } else { "plain" }
     );
-    let rows = |make: &mut dyn FnMut(usize) -> Box<dyn FnMut() -> u64 + Send>| {
-        structure_row(label.clone(), threads, reps, &cluster.clone(), make)
+    let name = "perf/cmb";
+    let front: Arc<dyn PairFront> = match (kind, combined) {
+        ("queue", false) => Arc::new(session0.create_queue::<u64>(name).expect("heap fits")),
+        ("queue", true) => Arc::new(
+            session0
+                .create_queue_combined::<u64>(name)
+                .expect("heap fits"),
+        ),
+        ("stack", false) => Arc::new(session0.create_stack::<u64>(name).expect("heap fits")),
+        ("stack", true) => Arc::new(
+            session0
+                .create_stack_combined::<u64>(name)
+                .expect("heap fits"),
+        ),
+        _ => unreachable!("kind is queue|stack"),
     };
     // Odd threads lead with the remove: threads released by one barrier
     // otherwise run the pair loop in lock step, and an all-insert round
     // followed by an all-remove round is traffic no real workload
     // produces (and the one mix that can never eliminate). Plain and
     // combined rows get the identical stagger.
-    match (kind, combined) {
-        ("queue", false) => {
-            let q = session0.create_queue::<u64>("perf/cmb").expect("heap fits");
-            rows(&mut |t| {
-                let session = cluster.session(MachineId(t % 2));
-                let q = q.clone();
-                Box::new(move || {
-                    for i in 0..pairs {
-                        if t % 2 == 0 {
-                            q.enqueue(&session, i + 1).unwrap();
-                            q.dequeue(&session).unwrap();
-                        } else {
-                            q.dequeue(&session).unwrap();
-                            q.enqueue(&session, i + 1).unwrap();
-                        }
-                    }
-                    2 * pairs
-                })
-            })
-        }
-        ("queue", true) => {
-            let q = session0
-                .create_queue_combined::<u64>("perf/cmb")
-                .expect("heap fits");
-            rows(&mut |t| {
-                let session = cluster.session(MachineId(t % 2));
-                let q = q.clone();
-                Box::new(move || {
-                    for i in 0..pairs {
-                        if t % 2 == 0 {
-                            q.enqueue(&session, i + 1).unwrap();
-                            q.dequeue(&session).unwrap();
-                        } else {
-                            q.dequeue(&session).unwrap();
-                            q.enqueue(&session, i + 1).unwrap();
-                        }
-                    }
-                    2 * pairs
-                })
-            })
-        }
-        ("stack", false) => {
-            let s = session0.create_stack::<u64>("perf/cmb").expect("heap fits");
-            rows(&mut |t| {
-                let session = cluster.session(MachineId(t % 2));
-                let s = s.clone();
-                Box::new(move || {
-                    for i in 0..pairs {
-                        if t % 2 == 0 {
-                            s.push(&session, i + 1).unwrap();
-                            s.pop(&session).unwrap();
-                        } else {
-                            s.pop(&session).unwrap();
-                            s.push(&session, i + 1).unwrap();
-                        }
-                    }
-                    2 * pairs
-                })
-            })
-        }
-        ("stack", true) => {
-            let s = session0
-                .create_stack_combined::<u64>("perf/cmb")
-                .expect("heap fits");
-            rows(&mut |t| {
-                let session = cluster.session(MachineId(t % 2));
-                let s = s.clone();
-                Box::new(move || {
-                    for i in 0..pairs {
-                        if t % 2 == 0 {
-                            s.push(&session, i + 1).unwrap();
-                            s.pop(&session).unwrap();
-                        } else {
-                            s.pop(&session).unwrap();
-                            s.push(&session, i + 1).unwrap();
-                        }
-                    }
-                    2 * pairs
-                })
-            })
-        }
-        _ => unreachable!("kind is queue|stack"),
-    }
+    structure_row(label, threads, reps, &cluster, &mut |t| {
+        let session = cluster.session(MachineId(t % 2));
+        let front = Arc::clone(&front);
+        Box::new(move || {
+            for i in 0..pairs {
+                if t % 2 == 0 {
+                    front.insert(&session, i + 1);
+                    front.remove(&session);
+                } else {
+                    front.remove(&session);
+                    front.insert(&session, i + 1);
+                }
+            }
+            2 * pairs
+        })
+    })
 }
 
 /// One measured churn-sweep row: structure throughput plus the

@@ -506,7 +506,7 @@ impl Allocator {
             true,
         )?;
         self.note_alloc(payload_cells);
-        node.check_alloc(Loc::new(self.region, payload), payload_cells, gen);
+        node.observe(|o| o.on_alloc(Loc::new(self.region, payload), payload_cells, gen));
         Ok(Some(BlockRef {
             loc: Loc::new(self.region, payload),
             gen,
@@ -629,7 +629,7 @@ impl Allocator {
             }
             self.persist
                 .private_store(node, self.intent_cell(slot), 0, true)?;
-            node.check_alloc(payload, class_cells(class), gen);
+            node.observe(|o| o.on_alloc(payload, class_cells(class), gen));
             return Ok(PopOutcome::Got(BlockRef {
                 loc: payload,
                 gen,
@@ -745,7 +745,7 @@ impl Allocator {
             Ok(_) => self.slots.release(slot),
         }
         if matches!(outcome, Ok(FreeOutcome::Done)) {
-            node.check_free(payload);
+            node.observe(|o| o.on_free(payload));
             self.frees.fetch_add(1, Ordering::Relaxed);
             let cells = u64::from(class_cells(class as usize));
             let _ = self

@@ -21,6 +21,7 @@ use crate::ds::combine::{Combinable, CombineBoard, CombineStats, Combined};
 use crate::flit::{FlitCxl0, FlitOwnerOpt, FlitX86, NaiveMStore, NoPersistence, Persistence};
 use crate::flit_async::FlitAsync;
 use crate::heap::SharedHeap;
+use crate::observe::Observer;
 use crate::smr::SmrDomain;
 use crate::trace::{TraceConfig, Tracer};
 
@@ -256,9 +257,6 @@ impl ClusterBuilder {
                 })
         });
         let checker = check_cfg.map(|cfg| Arc::new(Checker::new(cfg)));
-        if let Some(ck) = &checker {
-            fabric.install_checker(Arc::clone(ck));
-        }
         // Arm the tracer the same way: explicit `with_tracing` wins,
         // otherwise `CXL0_TRACE=<path>` (or `=1` for no export) arms a
         // default configuration.
@@ -272,12 +270,14 @@ impl ClusterBuilder {
                 })
         });
         let tracer = trace_cfg.map(|cfg| Arc::new(Tracer::new(cfg)));
-        if let Some(tr) = &tracer {
-            fabric.install_tracer(Arc::clone(tr));
-            if let Some(ck) = &checker {
-                ck.install_trace_sink(Arc::clone(tr));
-            }
+        if let (Some(ck), Some(tr)) = (&checker, &tracer) {
+            ck.install_trace_sink(Arc::clone(tr));
         }
+        // The fabric's one observer list: the sanitizer first, then the
+        // tracer.
+        let checks = checker.iter().map(|ck| Arc::clone(ck) as Arc<dyn Observer>);
+        let traces = tracer.iter().map(|tr| Arc::clone(tr) as Arc<dyn Observer>);
+        fabric.install_observers(checks.chain(traces).collect());
         let heap = Arc::new(SharedHeap::with_range(
             fabric.config(),
             memory_node,
@@ -338,11 +338,6 @@ impl ClusterBuilder {
         // every traversal structure shares these epochs, which is what
         // makes grace periods sound across handles.
         let smr = Arc::new(SmrDomain::new(Arc::clone(&allocator)));
-        if let Some(ck) = &checker {
-            // pin/unpin never touch the fabric, so the domain carries
-            // its own handle to the same checker.
-            smr.install_checker(Arc::clone(ck));
-        }
 
         Ok(Arc::new(Cluster {
             fabric,

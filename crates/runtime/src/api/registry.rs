@@ -342,7 +342,7 @@ impl RootDirectory {
             .shared_store(node, self.cell(e, 0), claim.hash, true)?;
         // The named structure is durably reachable from here on: seed the
         // sanitizer's reachability from its header block.
-        node.check_add_root(record.header);
+        node.observe(|o| o.on_add_root(record.header));
         self.persist.complete_op(node)
     }
 
@@ -401,7 +401,7 @@ impl RootDirectory {
             }
             if let Some(info) = self.read_committed(node, e)? {
                 if info.name == name {
-                    node.check_add_root(info.header);
+                    node.observe(|o| o.on_add_root(info.header));
                     return Ok(info);
                 }
             }
@@ -418,7 +418,7 @@ impl RootDirectory {
                 continue;
             }
             if let Some(info) = self.read_committed(node, e)? {
-                node.check_add_root(info.header);
+                node.observe(|o| o.on_add_root(info.header));
                 out.push(info);
             }
         }

@@ -178,22 +178,22 @@ impl Session {
         // Each phase is timed unconditionally (even when it has nothing
         // to do) so the tracer's recovery breakdown always carries all
         // four rows — a stable schema for dashboards and the bench.
-        self.node.trace_begin_recovery();
+        // Opening the first phase starts a fresh breakdown.
         {
-            let _t = self.node.trace_phase(RecoveryPhase::BufferedReplay);
+            let _t = self.node.phase(RecoveryPhase::BufferedReplay);
             if let Some(epoch) = self.cluster.buffered() {
                 epoch.recover(&self.node)?;
             }
         }
         {
-            let _t = self.node.trace_phase(RecoveryPhase::AllocatorSweep);
+            let _t = self.node.phase(RecoveryPhase::AllocatorSweep);
             self.cluster.allocator().recover(&self.node)?;
         }
         {
-            let _t = self.node.trace_phase(RecoveryPhase::SmrDrain);
+            let _t = self.node.phase(RecoveryPhase::SmrDrain);
             self.cluster.smr().recover(&self.node)?;
         }
-        let _t = self.node.trace_phase(RecoveryPhase::RegistrySeal);
+        let _t = self.node.phase(RecoveryPhase::RegistrySeal);
         Ok(self.cluster.directory().recover(&self.node)?)
     }
 

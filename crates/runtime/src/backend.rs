@@ -53,12 +53,15 @@
 //!   set is sharded by location, so asynchronous flushes from unrelated
 //!   threads stop serializing on one mutex and `Barrier` drains shard by
 //!   shard.
-//! * **Opt-in observability.** The persistency sanitizer
-//!   ([`crate::check`]) and the runtime tracer ([`crate::trace`]) hang
-//!   off the fabric as `OnceLock`s; uninstalled, each seam is a single
-//!   load and the hot path issues no extra atomic read-modify-write.
-//!   The tracer's per-op attribution rides the same rails: a span
-//!   samples its own thread's stripe on entry and exit.
+//! * **Opt-in observability.** Instruments such as the persistency
+//!   sanitizer ([`crate::check`]) and the runtime tracer
+//!   ([`crate::trace`]) hang off the fabric as one list of observers
+//!   (`crate::observe`), set once when a cluster is built. The fabric
+//!   knows none of them by name: every layer reports through
+//!   [`NodeHandle`]'s one generic seam. With none installed, each hook
+//!   is a single `OnceLock` load and the hot path issues no extra
+//!   atomic read-modify-write. Per-op attribution rides the same
+//!   rails: a span samples its own thread's stripe on entry and exit.
 //!
 //! ## Crashes
 //!
@@ -80,6 +83,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::cost::CostModel;
 use crate::error::{Crashed, OpResult};
+use crate::observe::{Line, Observer, Who};
+use crate::trace::{OpKind, PhaseGuard, RecoveryPhase, SpanGuard};
 
 /// Number of exclusive per-thread rails; threads beyond this many alive
 /// at once (or counters bumped from TLS teardown) share one overflow
@@ -439,7 +444,7 @@ pub struct StatsSnapshot {
     pub smr_limbo: u64,
     /// Persistency sanitizer: durability races detected. Zero in
     /// raw-fabric snapshots and when no checker is installed; populated
-    /// by the cluster layer from [`Checker`](crate::check::Checker)
+    /// by the cluster layer from the sanitizer's ([`crate::check`])
     /// counters. A *gauge* for [`StatsSnapshot::since`] purposes: the
     /// running total is what you want to assert on.
     pub check_durability_races: u64,
@@ -671,6 +676,11 @@ impl CellGuard<'_> {
         }
     }
 
+    /// The settled state observers are shown.
+    fn line(&self) -> Line {
+        (self.holders(), self.cache_val(), self.mem_val())
+    }
+
     /// `Propagate-C-M`/drain: cached value (if any) to memory.
     fn drain(&self) {
         if self.holders() != 0 {
@@ -808,16 +818,10 @@ pub struct SimFabric {
     pending: Vec<PendingBuf>,
     stats: Stats,
     cost: CostModel,
-    /// The persistency sanitizer, when one is installed
-    /// ([`SimFabric::install_checker`]). Hooks are called with the
-    /// affected cell's writer lock held; the checker never touches
-    /// cells, so the cell → checker lock order is acyclic.
-    checker: OnceLock<Arc<crate::check::Checker>>,
-    /// The runtime tracer, when one is installed
-    /// ([`SimFabric::install_tracer`]). Like the checker, absent by
-    /// default: every seam is then a single `OnceLock` load and issues
-    /// no atomic read-modify-write.
-    tracer: OnceLock<Arc<crate::trace::Tracer>>,
+    /// The instruments watching this fabric (`crate::observe`), set at
+    /// most once. Hooks run with the affected cell's writer lock held;
+    /// observers never touch cells, so the lock order is acyclic.
+    observers: OnceLock<Box<[Arc<dyn Observer>]>>,
 }
 
 impl SimFabric {
@@ -855,36 +859,27 @@ impl SimFabric {
             extents,
             stats: Stats::default(),
             cost,
-            checker: OnceLock::new(),
-            tracer: OnceLock::new(),
+            observers: OnceLock::new(),
         })
     }
 
-    /// Installs the persistency sanitizer on this fabric. At most one
-    /// checker per fabric; later calls are ignored. Prefer
-    /// [`ClusterBuilder::with_checker`](crate::api::ClusterBuilder::with_checker),
-    /// which also wires the allocator, SMR domain and root registry.
-    pub fn install_checker(&self, checker: Arc<crate::check::Checker>) {
-        let _ = self.checker.set(checker);
+    /// Installs the observers, in the order they hear each event. The
+    /// first non-empty list wins; an empty one leaves the fabric bare.
+    pub(crate) fn install_observers(&self, observers: Vec<Arc<dyn Observer>>) {
+        if !observers.is_empty() {
+            let _ = self.observers.set(observers.into_boxed_slice());
+        }
     }
 
-    /// The installed persistency sanitizer, if any.
-    pub fn checker(&self) -> Option<&Arc<crate::check::Checker>> {
-        self.checker.get()
-    }
-
-    /// Installs the runtime tracer ([`crate::trace`]) on this fabric.
-    /// At most one tracer per fabric; later calls are ignored. Prefer
-    /// [`ClusterBuilder::with_tracing`](crate::api::ClusterBuilder::with_tracing),
-    /// which also wires the sanitizer's violation sink and the
-    /// snapshot-level percentile gauges.
-    pub fn install_tracer(&self, tracer: Arc<crate::trace::Tracer>) {
-        let _ = self.tracer.set(tracer);
-    }
-
-    /// The installed runtime tracer, if any.
-    pub fn tracer(&self) -> Option<&Arc<crate::trace::Tracer>> {
-        self.tracer.get()
+    /// Tells every installed observer of an event (a single `OnceLock`
+    /// load when there are none).
+    #[inline]
+    fn observe(&self, f: impl Fn(&dyn Observer)) {
+        if let Some(observers) = self.observers.get() {
+            for o in observers.iter() {
+                f(&**o);
+            }
+        }
     }
 
     /// The system configuration.
@@ -973,18 +968,10 @@ impl SimFabric {
                 }
             }
         }
-        if let Some(ck) = self.checker.get() {
-            // The world is stopped: the shadow sees the same atomic
-            // transition the fabric just performed.
-            ck.on_crash(crashed_bits, zeroed_bits, self.variant == ModelVariant::Psn);
-        }
-        if let Some(tr) = self.tracer.get() {
-            // Seal the incarnation while the world is still stopped:
-            // every buffered event drains to the retired set, so
-            // crashed-incarnation spans cannot interleave with
-            // post-recovery ones.
-            tr.on_crash();
-        }
+        // The world is still stopped: observers see the same atomic
+        // transition the fabric just performed.
+        let psn = self.variant == ModelVariant::Psn;
+        self.observe(|o| o.on_crash(crashed_bits, zeroed_bits, psn));
         self.crash_word.halted.store(0, Ordering::SeqCst);
     }
 
@@ -1026,9 +1013,7 @@ impl SimFabric {
                     st.set_holders((st.holders() & !(1u64 << idx)) | owner_bit);
                 }
             }
-            if let Some(ck) = self.checker.get() {
-                ck.on_mutate(None, loc, st.holders(), st.cache_val(), st.mem_val());
-            }
+            self.observe(|o| o.on_mutate(None, loc, st.line()));
         }
     }
 
@@ -1043,15 +1028,7 @@ impl SimFabric {
                 if cell.read().0 != 0 {
                     let st = cell.lock();
                     st.drain();
-                    if let Some(ck) = self.checker.get() {
-                        ck.on_mutate(
-                            None,
-                            Loc::new(owner, a),
-                            st.holders(),
-                            st.cache_val(),
-                            st.mem_val(),
-                        );
-                    }
+                    self.observe(|o| o.on_mutate(None, Loc::new(owner, a), st.line()));
                 }
             }
         }
@@ -1189,114 +1166,28 @@ impl NodeHandle {
         self.fabric.cost.cost(p, self.machine == loc.owner)
     }
 
-    /// Sanitizer hook: mirror a settled mutation of `loc` (called with
-    /// the cell's writer lock held, so per-cell event order is exact).
-    fn check_mutate(&self, loc: Loc, st: &CellGuard<'_>) {
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_mutate(
-                Some((self.machine, thread_slot_index())),
-                loc,
-                st.holders(),
-                st.cache_val(),
-                st.mem_val(),
-            );
-        }
+    /// The issuing machine and thread slot, as observers see them.
+    fn who(&self) -> Who {
+        (self.machine, thread_slot_index())
     }
 
-    /// Sanitizer hook: an application read of `loc`.
-    fn check_load(&self, loc: Loc) {
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_load((self.machine, thread_slot_index()), loc);
-        }
+    /// The one instrumentation seam every layer reports through: tells
+    /// each installed observer (`crate::observe`) of an event.
+    #[inline]
+    pub(crate) fn observe(&self, f: impl Fn(&dyn Observer)) {
+        self.fabric.observe(f);
     }
 
-    /// Sanitizer + tracer seam for the [`Persistence`](crate::Persistence)
-    /// strategies: the strategy just acknowledged its store/RMW on `loc`
-    /// as durable. No-op without a checker or tracer.
-    pub(crate) fn ack_persist(&self, loc: Loc) {
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_ack(self.machine, loc);
-        }
-        if let Some(tr) = self.fabric.tracer.get() {
-            tr.on_persist_ack();
-        }
+    /// Opens an op span on the calling thread with the first observer
+    /// that records spans (one `OnceLock` load when none is installed).
+    pub(crate) fn span(&self, kind: OpKind) -> Option<SpanGuard<'_>> {
+        (self.fabric.observers.get()?.iter()).find_map(|o| o.span(kind, self))
     }
 
-    /// Tracer seam for the structure layer: opens an op span on the
-    /// calling thread, or `None` when no tracer is installed (a single
-    /// `OnceLock` load — the untraced hot path stays RMW-free).
-    pub(crate) fn trace_span(
-        &self,
-        kind: crate::trace::OpKind,
-    ) -> Option<crate::trace::SpanGuard<'_>> {
-        self.fabric
-            .tracer
-            .get()
-            .map(|tr| tr.span(kind, &self.fabric.stats, Some(self.machine)))
-    }
-
-    /// Tracer seam for recovery: opens a recovery-phase span (fabric-wide
-    /// simulated time), or `None` when no tracer is installed. The first
-    /// phase of a recovery pass should be preceded by
-    /// [`Tracer::begin_recovery`] via [`NodeHandle::trace_begin_recovery`].
-    pub(crate) fn trace_phase(
-        &self,
-        phase: crate::trace::RecoveryPhase,
-    ) -> Option<crate::trace::PhaseGuard<'_>> {
-        self.fabric
-            .tracer
-            .get()
-            .map(|tr| tr.phase(phase, &self.fabric.stats, Some(self.machine)))
-    }
-
-    /// Resets the tracer's recovery breakdown at the top of a recovery
-    /// pass, so [`Tracer::recovery_breakdown`] describes the latest pass
-    /// only. No-op when no tracer is installed.
-    pub(crate) fn trace_begin_recovery(&self) {
-        if let Some(tr) = self.fabric.tracer.get() {
-            tr.begin_recovery();
-        }
-    }
-
-    /// Sanitizer seam for the allocator: the block whose payload starts
-    /// at `loc` (spanning `cells` cells, reuse generation `gen`) was
-    /// just handed out.
-    pub(crate) fn check_alloc(&self, loc: Loc, cells: u32, gen: u64) {
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_alloc(loc, cells, gen);
-        }
-    }
-
-    /// Sanitizer seam for the allocator: the block at `loc` returned to
-    /// its free list.
-    pub(crate) fn check_free(&self, loc: Loc) {
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_free(loc);
-        }
-    }
-
-    /// Sanitizer seam for [`crate::smr`]: the block at `loc` was retired
-    /// under global epoch `epoch`.
-    pub(crate) fn check_retire(&self, loc: Loc, epoch: u64) {
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_retire(loc, epoch);
-        }
-    }
-
-    /// Sanitizer seam for [`crate::smr`]: post-crash recovery voided all
-    /// reservations and limbo bags.
-    pub(crate) fn check_smr_recover(&self) {
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_smr_recover();
-        }
-    }
-
-    /// Sanitizer seam for the named-root registry: the block holding
-    /// `header` became durably reachable by name.
-    pub(crate) fn check_add_root(&self, header: Loc) {
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.add_root(header);
-        }
+    /// Opens a recovery-phase span with the first observer that records
+    /// phases. Opening [`RecoveryPhase::BufferedReplay`] starts a pass.
+    pub(crate) fn phase(&self, phase: RecoveryPhase) -> Option<PhaseGuard<'_>> {
+        (self.fabric.observers.get()?.iter()).find_map(|o| o.phase(phase, self))
     }
 
     /// `Load`: returns the value visible at `loc`.
@@ -1355,7 +1246,7 @@ impl NodeHandle {
                         .stats
                         .rail()
                         .bump(OpClass::Loads, self.op_cost(Primitive::Load, loc));
-                    self.check_load(loc);
+                    self.observe(|o| o.on_load(self.who(), loc));
                     return Ok(v);
                 }
             }
@@ -1363,7 +1254,7 @@ impl NodeHandle {
         let g = self.enter()?;
         g.charge(OpClass::Loads, self.op_cost(Primitive::Load, loc));
         let cell = self.fabric.cell(loc);
-        self.check_load(loc);
+        self.observe(|o| o.on_load(self.who(), loc));
         match self.fabric.variant {
             ModelVariant::Base | ModelVariant::Psn => {
                 let st = cell.lock();
@@ -1373,9 +1264,7 @@ impl NodeHandle {
                     // Mirror the holder change only (a load is not a
                     // mutation of the value: no provenance, no
                     // lost-value clobber).
-                    if let Some(ck) = self.fabric.checker.get() {
-                        ck.on_mutate(None, loc, st.holders(), st.cache_val(), st.mem_val());
-                    }
+                    self.observe(|o| o.on_mutate(None, loc, st.line()));
                     Ok(st.cache_val())
                 } else {
                     // LOAD-from-M (no copy).
@@ -1390,9 +1279,7 @@ impl NodeHandle {
                     // Blocking until the line drains to memory ≡ force
                     // the drain, then read memory.
                     st.drain();
-                    if let Some(ck) = self.fabric.checker.get() {
-                        ck.on_mutate(None, loc, st.holders(), st.cache_val(), st.mem_val());
-                    }
+                    self.observe(|o| o.on_mutate(None, loc, st.line()));
                     Ok(st.mem_val())
                 }
             }
@@ -1410,7 +1297,7 @@ impl NodeHandle {
         let st = self.fabric.cell(loc).lock();
         st.set_cache_val(v);
         st.set_holders(1u64 << self.machine.index());
-        self.check_mutate(loc, &st);
+        self.observe(|o| o.on_mutate(Some(self.who()), loc, st.line()));
         Ok(())
     }
 
@@ -1425,7 +1312,7 @@ impl NodeHandle {
         let st = self.fabric.cell(loc).lock();
         st.set_cache_val(v);
         st.set_holders(1u64 << loc.owner.index());
-        self.check_mutate(loc, &st);
+        self.observe(|o| o.on_mutate(Some(self.who()), loc, st.line()));
         Ok(())
     }
 
@@ -1440,7 +1327,7 @@ impl NodeHandle {
         let st = self.fabric.cell(loc).lock();
         st.set_mem_val(v);
         st.set_holders(0);
-        self.check_mutate(loc, &st);
+        self.observe(|o| o.on_mutate(Some(self.who()), loc, st.line()));
         Ok(())
     }
 
@@ -1483,7 +1370,7 @@ impl NodeHandle {
                 // Propagate-C-C toward the owner.
                 st.set_holders((st.holders() & !bit) | owner_bit);
             }
-            self.check_mutate(loc, &st);
+            self.observe(|o| o.on_mutate(Some(self.who()), loc, st.line()));
         }
         Ok(())
     }
@@ -1503,7 +1390,7 @@ impl NodeHandle {
         }
         let st = cell.lock();
         st.drain();
-        self.check_mutate(loc, &st);
+        self.observe(|o| o.on_mutate(Some(self.who()), loc, st.line()));
         Ok(())
     }
 
@@ -1563,27 +1450,25 @@ impl NodeHandle {
         // per-line full-RFlush costs: track the slowest line and the
         // count instead of collecting a vector.
         let mut max_line = 0u64;
-        // With a checker installed, collect each retired line's
+        // With an observer installed, collect each retired line's
         // post-drain state (under its lock) and report the whole batch
-        // at once: persists are mirrored before publication checks, so
-        // intra-barrier drain order can never read as a race.
-        let checking = self.fabric.checker.get().is_some();
+        // at once: a sanitizer mirrors the persists before publication
+        // checks, so intra-barrier drain order can never read as a race.
+        let observed = self.fabric.observers.get().is_some();
         let mut batch = Vec::new();
         let retired = self.fabric.pending[self.machine.index()].retire(|loc| {
             let cell = self.fabric.cell(loc);
             if cell.read().0 != 0 {
                 let st = cell.lock();
                 st.drain();
-                if checking {
-                    batch.push((loc, st.holders(), st.cache_val(), st.mem_val()));
+                if observed {
+                    batch.push((loc, st.line()));
                 }
             }
             let local = self.machine == loc.owner;
             max_line = max_line.max(self.fabric.cost.cost(Primitive::RFlush, local));
         });
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_barrier(Some((self.machine, thread_slot_index())), &batch);
-        }
+        self.observe(|o| o.on_barrier(Some(self.who()), &batch));
         g.charge(
             OpClass::Barriers,
             self.fabric.cost.barrier_cost_of(max_line, retired as u64),
@@ -1614,13 +1499,13 @@ impl NodeHandle {
         let (h, c, m) = cell.read();
         let visible = if h != 0 { c } else { m };
         if visible != old {
-            self.check_load(loc);
+            self.observe(|o| o.on_load(self.who(), loc));
             return Ok(Err(visible));
         }
         let st = cell.lock();
         let visible = st.visible();
         if visible != old {
-            self.check_load(loc);
+            self.observe(|o| o.on_load(self.who(), loc));
             return Ok(Err(visible));
         }
         match kind {
@@ -1637,7 +1522,7 @@ impl NodeHandle {
                 st.set_holders(0);
             }
         }
-        self.check_mutate(loc, &st);
+        self.observe(|o| o.on_mutate(Some(self.who()), loc, st.line()));
         Ok(Ok(old))
     }
 
@@ -1672,7 +1557,7 @@ impl NodeHandle {
                 st.set_holders(0);
             }
         }
-        self.check_mutate(loc, &st);
+        self.observe(|o| o.on_mutate(Some(self.who()), loc, st.line()));
         Ok(visible)
     }
 }

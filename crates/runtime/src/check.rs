@@ -49,7 +49,8 @@
 //!
 //! ## Using it
 //!
-//! Enable per cluster with
+//! The checker is one of the fabric's observers (`crate::observe`), so no
+//! layer knows it by name. Enable it per cluster with
 //! [`ClusterBuilder::with_checker`](crate::api::ClusterBuilder::with_checker),
 //! or globally with `CXL0_SANITIZE=1` in the environment (as CI's
 //! `sanitize` job does), which additionally panics on the first violation
@@ -83,6 +84,7 @@ use cxl0_model::{Loc, MachineId};
 
 use crate::alloc::layout::{decode_addr, decode_gen};
 use crate::backend::RAIL_SLOTS;
+use crate::observe::{Line, Observer, Who};
 
 /// Which checks are armed and how violations are delivered.
 ///
@@ -234,9 +236,10 @@ const MAX_REPORTS: usize = 64;
 ///
 /// Created by
 /// [`ClusterBuilder::with_checker`](crate::api::ClusterBuilder::with_checker)
-/// (or `CXL0_SANITIZE=1`) and shared by the fabric, the allocator, the
-/// SMR domain and the root registry. All hook methods are crate-internal;
-/// the public surface is configuration and reporting.
+/// (or `CXL0_SANITIZE=1`) and installed on the fabric's one observer
+/// list, through which the fabric, the persistence strategies, the
+/// allocator, the SMR domain and the root registry all report. Its hooks
+/// are crate-internal; the public surface is configuration and reporting.
 pub struct Checker {
     cfg: CheckConfig,
     shadow: Mutex<Shadow>,
@@ -346,13 +349,7 @@ impl Checker {
         h.finish()
     }
 
-    fn report(
-        &self,
-        class: ViolationClass,
-        loc: Loc,
-        who: Option<(MachineId, usize)>,
-        detail: String,
-    ) {
+    fn report(&self, class: ViolationClass, loc: Loc, who: Option<Who>, detail: String) {
         match class {
             ViolationClass::DurabilityRace => &self.races,
             ViolationClass::UnpersistedReadAtRecovery => &self.unpersisted,
@@ -383,13 +380,16 @@ impl Checker {
             panic!("persistency sanitizer: {v}");
         }
     }
+}
 
+/// Every event the fabric's observer list raises feeds the shadow state.
+impl Observer for Checker {
     // ---- fabric hooks ---------------------------------------------------
 
     /// An application read of `loc` (no state transfer mirrored: loads
     /// never change a cell's persist state, and the gateless fast path
     /// must not write the mirror out of order).
-    pub(crate) fn on_load(&self, who: (MachineId, usize), loc: Loc) {
+    fn on_load(&self, who: Who, loc: Loc) {
         let mut g = self.shadow.lock();
         self.check_retire(&g, Some(who), loc, "load");
         if let Some(cell) = g.cells.get_mut(&loc) {
@@ -414,14 +414,7 @@ impl Checker {
     /// A mutation of `loc` settled: mirror the post-state. Called with
     /// the cell's seqlock held for stores, RMWs, flush drains and τ
     /// moves alike; `who` is `None` for fabric background activity.
-    pub(crate) fn on_mutate(
-        &self,
-        who: Option<(MachineId, usize)>,
-        loc: Loc,
-        holders: u64,
-        cache: u64,
-        mem: u64,
-    ) {
+    fn on_mutate(&self, who: Option<Who>, loc: Loc, (holders, cache, mem): Line) {
         let mut g = self.shadow.lock();
         if let Some(w) = who {
             self.check_retire(&g, Some(w), loc, "store");
@@ -445,14 +438,10 @@ impl Checker {
     /// mirrored first and publications evaluated against the post-batch
     /// state, so the drain order *within* one barrier can never be
     /// observed as a race.
-    pub(crate) fn on_barrier(
-        &self,
-        who: Option<(MachineId, usize)>,
-        items: &[(Loc, u64, u64, u64)],
-    ) {
+    fn on_barrier(&self, who: Option<Who>, batch: &[(Loc, Line)]) {
         let mut g = self.shadow.lock();
         let mut changed = Vec::new();
-        for &(loc, holders, cache, mem) in items {
+        for &(loc, (holders, cache, mem)) in batch {
             let cell = g.cells.entry(loc).or_default();
             if mem != cell.mem {
                 changed.push((loc, mem));
@@ -474,7 +463,7 @@ impl Checker {
     /// durable. If the mirror shows the cell still dirty, the promised
     /// value is recorded *at risk*: a crash that destroys the cached
     /// copy before it drains turns it into a lost value.
-    pub(crate) fn on_ack(&self, _machine: MachineId, loc: Loc) {
+    fn on_persist_ack(&self, loc: Loc) {
         if !self.cfg.unpersisted_reads {
             return;
         }
@@ -489,7 +478,7 @@ impl Checker {
     /// `crashed` is the bitmask of crashed machines, `zeroed` the subset
     /// whose (volatile) shared memory was zeroed, `psn_wipe` true when
     /// the PSN variant clears *all* holders of crashed owners' cells.
-    pub(crate) fn on_crash(&self, crashed: u64, zeroed: u64, psn_wipe: bool) {
+    fn on_crash(&self, crashed: u64, zeroed: u64, psn_wipe: bool) {
         let mut g = self.shadow.lock();
         for (loc, cell) in g.cells.iter_mut() {
             let owner_bit = 1u64 << loc.owner.index();
@@ -517,7 +506,7 @@ impl Checker {
     // ---- allocator / registry hooks -------------------------------------
 
     /// A block was handed out: (re)register its span and generation.
-    pub(crate) fn on_alloc(&self, loc: Loc, cells: u32, gen: u64) {
+    fn on_alloc(&self, loc: Loc, cells: u32, gen: u64) {
         let mut g = self.shadow.lock();
         g.region.get_or_insert(loc.owner);
         g.blocks.insert(
@@ -533,7 +522,7 @@ impl Checker {
     }
 
     /// A block returned to its free list (directly or via SMR reclaim).
-    pub(crate) fn on_free(&self, loc: Loc) {
+    fn on_free(&self, loc: Loc) {
         let mut g = self.shadow.lock();
         if let Some(b) = g.blocks.get_mut(&loc.addr.0) {
             b.state = BlockState::Freed;
@@ -542,7 +531,7 @@ impl Checker {
     }
 
     /// A block entered the SMR limbo list at `epoch`.
-    pub(crate) fn on_retire(&self, loc: Loc, epoch: u64) {
+    fn on_retire(&self, loc: Loc, epoch: u64) {
         let mut g = self.shadow.lock();
         if let Some(b) = g.blocks.get_mut(&loc.addr.0) {
             if b.state == BlockState::Live {
@@ -555,7 +544,7 @@ impl Checker {
     /// A named root was committed or looked up: the block holding
     /// `header` is durably reachable, as is everything its persisted
     /// payload points to.
-    pub(crate) fn add_root(&self, header: Loc) {
+    fn on_add_root(&self, header: Loc) {
         let mut g = self.shadow.lock();
         if g.blocks.contains_key(&header.addr.0) {
             self.publish_block(&mut g, None, header, header.addr.0);
@@ -567,7 +556,7 @@ impl Checker {
     /// Thread in rail `slot` pinned the epoch domain at `epoch` (the
     /// epoch recorded in the slot word — for the shared overflow slot,
     /// the first joiner's).
-    pub(crate) fn on_pin(&self, slot: usize, epoch: u64) {
+    fn on_pin(&self, slot: usize, epoch: u64) {
         let mut g = self.shadow.lock();
         let p = &mut g.pins[slot.min(RAIL_SLOTS)];
         if p.depth == 0 {
@@ -577,7 +566,7 @@ impl Checker {
     }
 
     /// Thread in rail `slot` released its pin.
-    pub(crate) fn on_unpin(&self, slot: usize) {
+    fn on_unpin(&self, slot: usize) {
         let mut g = self.shadow.lock();
         let p = &mut g.pins[slot.min(RAIL_SLOTS)];
         p.depth = p.depth.saturating_sub(1);
@@ -585,13 +574,15 @@ impl Checker {
 
     /// The SMR domain recovered after a crash: every pin died with its
     /// thread.
-    pub(crate) fn on_smr_recover(&self) {
+    fn on_smr_recover(&self) {
         let mut g = self.shadow.lock();
         for p in g.pins.iter_mut() {
             *p = PinShadow::default();
         }
     }
+}
 
+impl Checker {
     // ---- internals ------------------------------------------------------
 
     /// Use-after-retire rules for an application access to `loc`.
@@ -604,7 +595,7 @@ impl Checker {
     /// to protect it, or touching a *freed* block while pinned — the
     /// epoch domain's grace guarantee says a pinned thread can still
     /// hold references only to blocks whose reclamation is deferred.
-    fn check_retire(&self, g: &Shadow, who: Option<(MachineId, usize)>, loc: Loc, what: &str) {
+    fn check_retire(&self, g: &Shadow, who: Option<Who>, loc: Loc, what: &str) {
         if !self.cfg.use_after_retire {
             return;
         }
@@ -661,7 +652,7 @@ impl Checker {
     /// `loc`'s memory value settled to `word`: if `loc` sits in a
     /// durably-reachable block and `word` is a current-generation pointer
     /// to a live unreached block, that block just got published.
-    fn publish_word(&self, g: &mut Shadow, who: Option<(MachineId, usize)>, loc: Loc, word: u64) {
+    fn publish_word(&self, g: &mut Shadow, who: Option<Who>, loc: Loc, word: u64) {
         if !self.cfg.durability_races || g.region != Some(loc.owner) {
             return;
         }
@@ -696,13 +687,7 @@ impl Checker {
     /// Marks the block at `base` durably reachable, reports any dirty
     /// cell in it (the durability race), and chases persisted pointer
     /// words in its payload.
-    fn publish_block(
-        &self,
-        g: &mut Shadow,
-        who: Option<(MachineId, usize)>,
-        source: Loc,
-        base: u32,
-    ) {
+    fn publish_block(&self, g: &mut Shadow, who: Option<Who>, source: Loc, base: u32) {
         let Some(region) = g.region else { return };
         let mut work = vec![base];
         while let Some(base) = work.pop() {
@@ -764,14 +749,14 @@ mod tests {
         ck.on_alloc(loc(10), 2, 5);
         ck.on_alloc(loc(20), 2, 7);
         // Node payload: value persisted, link persisted.
-        ck.on_mutate(Some((M, 0)), loc(20), 0, 42, 42);
-        ck.on_mutate(Some((M, 0)), loc(21), 0, 9, 9);
+        ck.on_mutate(Some((M, 0)), loc(20), (0, 42, 42));
+        ck.on_mutate(Some((M, 0)), loc(21), (0, 9, 9));
         // Root registered: reach seeds from the header block.
-        ck.add_root(loc(10));
+        ck.on_add_root(loc(10));
         assert_eq!(ck.durability_races(), 0);
         // Link in the root block persists a pointer to the node: clean.
         let p = crate::alloc::layout::ptr_word(20, 7);
-        ck.on_mutate(Some((M, 0)), loc(10), 0, p, p);
+        ck.on_mutate(Some((M, 0)), loc(10), (0, p, p));
         assert_eq!(ck.durability_races(), 0);
 
         // Now a second node whose value never persisted...
@@ -779,10 +764,10 @@ mod tests {
         ck.on_alloc(loc(10), 2, 5);
         ck.on_alloc(loc(20), 2, 7);
         // Dirty value: held in a cache, memory stale.
-        ck.on_mutate(Some((M, 0)), loc(20), 1 << 1, 42, 0);
-        ck.add_root(loc(10));
+        ck.on_mutate(Some((M, 0)), loc(20), (1 << 1, 42, 0));
+        ck.on_add_root(loc(10));
         let p = crate::alloc::layout::ptr_word(20, 7);
-        ck.on_mutate(Some((M, 0)), loc(10), 0, p, p);
+        ck.on_mutate(Some((M, 0)), loc(10), (0, p, p));
         assert_eq!(ck.durability_races(), 1);
         assert_eq!(ck.violations()[0].class, ViolationClass::DurabilityRace);
     }
@@ -795,14 +780,14 @@ mod tests {
         let ck = checker();
         ck.on_alloc(loc(10), 1, 3);
         ck.on_alloc(loc(20), 2, 7);
-        ck.on_mutate(Some((M, 0)), loc(20), 1 << 1, 1, 0); // dirty
-        ck.add_root(loc(10));
+        ck.on_mutate(Some((M, 0)), loc(20), (1 << 1, 1, 0)); // dirty
+        ck.on_add_root(loc(10));
         // A scalar that happens to decode to address 20 but carries gen 0.
-        ck.on_mutate(Some((M, 0)), loc(10), 0, 21, 21);
+        ck.on_mutate(Some((M, 0)), loc(10), (0, 21, 21));
         assert_eq!(ck.durability_races(), 0);
         // A stale-generation pointer to the same block.
         let stale = crate::alloc::layout::ptr_word(20, 6);
-        ck.on_mutate(Some((M, 0)), loc(10), 0, stale, stale);
+        ck.on_mutate(Some((M, 0)), loc(10), (0, stale, stale));
         assert_eq!(ck.durability_races(), 0);
     }
 
@@ -812,8 +797,8 @@ mod tests {
     fn lost_ack_fires_on_recovery_read() {
         let ck = checker();
         // Store settles into machine 1's cache only (the FlitX86 shape).
-        ck.on_mutate(Some((M, 0)), loc(5), 1 << 1, 7, 0);
-        ck.on_ack(M, loc(5));
+        ck.on_mutate(Some((M, 0)), loc(5), (1 << 1, 7, 0));
+        ck.on_persist_ack(loc(5));
         // Crash machine 1; its memory is NVM (not zeroed).
         ck.on_crash(1 << 1, 0, false);
         ck.on_load((MachineId(0), 0), loc(5));
@@ -823,10 +808,10 @@ mod tests {
         assert_eq!(ck.unpersisted_reads(), 1);
 
         let ck = checker();
-        ck.on_mutate(Some((M, 0)), loc(5), 1 << 1, 7, 0);
+        ck.on_mutate(Some((M, 0)), loc(5), (1 << 1, 7, 0));
         // Drain before the ack: clean, nothing at risk.
-        ck.on_mutate(None, loc(5), 1 << 1, 7, 7);
-        ck.on_ack(M, loc(5));
+        ck.on_mutate(None, loc(5), (1 << 1, 7, 7));
+        ck.on_persist_ack(loc(5));
         ck.on_crash(1 << 1, 0, false);
         ck.on_load((MachineId(0), 0), loc(5));
         assert_eq!(ck.unpersisted_reads(), 0);
@@ -867,14 +852,15 @@ mod tests {
         let ck = checker();
         ck.on_alloc(loc(10), 1, 3);
         ck.on_alloc(loc(20), 2, 7);
-        ck.add_root(loc(10));
+        ck.on_add_root(loc(10));
         // Cache writes: value and the root's link, all pending.
-        ck.on_mutate(Some((M, 0)), loc(20), 1 << 1, 42, 0);
-        ck.on_mutate(Some((M, 0)), loc(21), 1 << 1, 9, 9);
+        ck.on_mutate(Some((M, 0)), loc(20), (1 << 1, 42, 0));
+        ck.on_mutate(Some((M, 0)), loc(21), (1 << 1, 9, 9));
         let p = crate::alloc::layout::ptr_word(20, 7);
-        ck.on_mutate(Some((M, 0)), loc(10), 1 << 1, p, 0);
+        ck.on_mutate(Some((M, 0)), loc(10), (1 << 1, p, 0));
         // One barrier retires both — link first in the batch.
-        ck.on_barrier(Some((M, 0)), &[(loc(10), 0, p, p), (loc(20), 0, 42, 42)]);
+        let batch = [(loc(10), (0, p, p)), (loc(20), (0, 42, 42))];
+        ck.on_barrier(Some((M, 0)), &batch);
         assert_eq!(ck.durability_races(), 0);
     }
 
@@ -882,10 +868,10 @@ mod tests {
     fn fingerprint_distinguishes_persist_states() {
         let ck = checker();
         let f0 = ck.fingerprint();
-        ck.on_mutate(Some((M, 0)), loc(5), 1 << 1, 7, 0);
+        ck.on_mutate(Some((M, 0)), loc(5), (1 << 1, 7, 0));
         let f1 = ck.fingerprint();
         assert_ne!(f0, f1);
-        ck.on_mutate(None, loc(5), 1 << 1, 7, 7);
+        ck.on_mutate(None, loc(5), (1 << 1, 7, 7));
         let f2 = ck.fingerprint();
         assert_ne!(f1, f2);
     }

@@ -626,7 +626,7 @@ impl<S: Combinable> Combined<S> {
 
     /// One combining pass; the caller holds the board lock.
     fn combine(&self, node: &NodeHandle) -> OpResult<()> {
-        let _span = node.trace_span(crate::trace::OpKind::CombineBatch);
+        let _span = node.span(crate::trace::OpKind::CombineBatch);
         let board = &*self.board;
         let hi = board.watermark.load(Ordering::Acquire).min(COMBINE_SLOTS);
         let mut claimed: Vec<(usize, u64, u64)> = Vec::with_capacity(hi);
@@ -782,7 +782,7 @@ impl<T: Word> Combined<DurableQueue<T>> {
     /// serving this op crashed mid-batch (outcome unknown, as for any
     /// op in flight at a crash).
     pub fn enqueue(&self, at: &impl AsNode, v: T) -> OpResult<bool> {
-        let _span = at.as_node().trace_span(crate::trace::OpKind::Enqueue);
+        let _span = at.as_node().span(crate::trace::OpKind::Enqueue);
         let (st, _) = self.submit(at.as_node(), PENDING_INSERT, v.to_word())?;
         Ok(st == DONE_OK)
     }
@@ -793,7 +793,7 @@ impl<T: Word> Combined<DurableQueue<T>> {
     ///
     /// See [`Combined::enqueue`].
     pub fn dequeue(&self, at: &impl AsNode) -> OpResult<Option<T>> {
-        let _span = at.as_node().trace_span(crate::trace::OpKind::Dequeue);
+        let _span = at.as_node().span(crate::trace::OpKind::Dequeue);
         let (st, res) = self.submit(at.as_node(), PENDING_REMOVE, 0)?;
         Ok((st == DONE_OK).then(|| T::from_word(res)))
     }
@@ -833,7 +833,7 @@ impl<T: Word> Combined<DurableStack<T>> {
     ///
     /// See [`Combined::enqueue`].
     pub fn push(&self, at: &impl AsNode, v: T) -> OpResult<bool> {
-        let _span = at.as_node().trace_span(crate::trace::OpKind::Push);
+        let _span = at.as_node().span(crate::trace::OpKind::Push);
         let (st, _) = self.submit(at.as_node(), PENDING_INSERT, v.to_word())?;
         Ok(st == DONE_OK)
     }
@@ -846,7 +846,7 @@ impl<T: Word> Combined<DurableStack<T>> {
     ///
     /// See [`Combined::enqueue`].
     pub fn pop(&self, at: &impl AsNode) -> OpResult<Option<T>> {
-        let _span = at.as_node().trace_span(crate::trace::OpKind::Pop);
+        let _span = at.as_node().span(crate::trace::OpKind::Pop);
         let (st, res) = self.submit(at.as_node(), PENDING_REMOVE, 0)?;
         Ok((st == DONE_OK).then(|| T::from_word(res)))
     }

@@ -243,7 +243,7 @@ impl<K: Word> DurableList<K> {
     /// Fails if the issuing machine has crashed.
     pub fn insert(&self, at: &impl AsNode, key: K) -> OpResult<bool> {
         let node = at.as_node();
-        let _span = node.trace_span(crate::trace::OpKind::Insert);
+        let _span = node.span(crate::trace::OpKind::Insert);
         let key = key.to_word();
         assert!(
             key != 0 && key & (MARK | (MARK >> 1)) == 0,
@@ -252,7 +252,7 @@ impl<K: Word> DurableList<K> {
         // Lazily allocated, reused across CAS retries, reclaimed on
         // every non-publishing exit (no leaks on contention).
         let mut spare: Option<crate::alloc::BlockRef> = None;
-        let mut guard = self.smr.pin();
+        let mut guard = self.smr.pin(node);
         loop {
             let (pred_cell, _, curr_enc, found) = self.search(&guard, node, key)?;
             if found == Some(key) {
@@ -290,7 +290,7 @@ impl<K: Word> DurableList<K> {
                         if freed == 0 {
                             crate::smr::exhaustion_backoff(attempts);
                         }
-                        guard = self.smr.pin();
+                        guard = self.smr.pin(node);
                     };
                     self.persist
                         .private_store(node, self.key_cell(n.loc), key, true)?;
@@ -330,9 +330,9 @@ impl<K: Word> DurableList<K> {
     /// Fails if the issuing machine has crashed.
     pub fn remove(&self, at: &impl AsNode, key: K) -> OpResult<bool> {
         let node = at.as_node();
-        let _span = node.trace_span(crate::trace::OpKind::Remove);
+        let _span = node.span(crate::trace::OpKind::Remove);
         let key = key.to_word();
-        let guard = self.smr.pin();
+        let guard = self.smr.pin(node);
         loop {
             let (pred_cell, pred_gen, curr_enc, found) = self.search(&guard, node, key)?;
             if found != Some(key) {
@@ -407,9 +407,9 @@ impl<K: Word> DurableList<K> {
     /// Fails if the issuing machine has crashed.
     pub fn contains(&self, at: &impl AsNode, key: K) -> OpResult<bool> {
         let node = at.as_node();
-        let _span = node.trace_span(crate::trace::OpKind::Get);
+        let _span = node.span(crate::trace::OpKind::Get);
         let key = key.to_word();
-        let guard = self.smr.pin();
+        let guard = self.smr.pin(node);
         let (_, _, _, found) = self.search(&guard, node, key)?;
         self.persist.complete_op(node)?;
         Ok(found == Some(key))
@@ -423,7 +423,7 @@ impl<K: Word> DurableList<K> {
     /// Fails if the issuing machine has crashed.
     pub fn keys(&self, at: &impl AsNode) -> OpResult<Vec<K>> {
         let node = at.as_node();
-        let _guard = self.smr.pin();
+        let _guard = self.smr.pin(node);
         let mut out = Vec::new();
         let mut curr_enc = unmark(self.persist.shared_load(node, self.head, true)?);
         let mut steps = 0u32;
@@ -602,14 +602,14 @@ mod tests {
     #[test]
     fn sanitizer_flags_inline_free_instead_of_retire() {
         use crate::check::{CheckConfig, Checker, ViolationClass};
+        use crate::observe::Observer;
         let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 14));
         let ck = Arc::new(Checker::new(CheckConfig {
             fail_fast: false,
             ..CheckConfig::default()
         }));
-        f.install_checker(Arc::clone(&ck));
+        f.install_observers(vec![Arc::clone(&ck) as Arc<dyn Observer>]);
         let smr = domain(&f, MachineId(2));
-        smr.install_checker(Arc::clone(&ck));
         let node = f.node(MachineId(0));
         let l: DurableList = DurableList::create(&smr, &node).unwrap().unwrap();
         for k in [2u64, 4, 6] {
@@ -622,7 +622,7 @@ mod tests {
         assert_eq!(ck.use_after_retire(), 0, "retire-based removal is clean");
         // The bug: unlink 6 by hand, then free inline while a pinned
         // traversal (this thread's own guard) is still in flight.
-        let guard = l.smr.pin();
+        let guard = l.smr.pin(&node);
         let (pred_cell, pred_gen, curr_enc, found) = l.search(&guard, &node, 6).unwrap();
         assert_eq!(found, Some(6));
         let curr = l.alloc.decode(curr_enc).expect("found implies node");

@@ -252,13 +252,13 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     /// Fails if the issuing machine has crashed.
     pub fn insert(&self, at: &impl AsNode, key: K, value: V) -> OpResult<Option<Option<V>>> {
         let node = at.as_node();
-        let _span = node.trace_span(crate::trace::OpKind::Insert);
+        let _span = node.span(crate::trace::OpKind::Insert);
         let key = key.to_word();
         let value = value.to_word();
         assert_ne!(key, EMPTY_KEY, "key 0 is reserved");
         assert_ne!(value, ABSENT, "value 0 is reserved");
         let _mutating = self.sync.read();
-        let _guard = self.smr.pin();
+        let _guard = self.smr.pin(node);
         let base = self.table(node)?;
         let Some(slot) = self.find_slot(node, base, key, true)? else {
             return Ok(None);
@@ -293,9 +293,9 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     /// Fails if the issuing machine has crashed.
     pub fn get(&self, at: &impl AsNode, key: K) -> OpResult<Option<V>> {
         let node = at.as_node();
-        let _span = node.trace_span(crate::trace::OpKind::Get);
+        let _span = node.span(crate::trace::OpKind::Get);
         let key = key.to_word();
-        let _guard = self.smr.pin();
+        let _guard = self.smr.pin(node);
         let base = self.table(node)?;
         let Some(slot) = self.find_slot(node, base, key, false)? else {
             self.persist.complete_op(node)?;
@@ -321,10 +321,10 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     /// Fails if the issuing machine has crashed.
     pub fn remove(&self, at: &impl AsNode, key: K) -> OpResult<Option<V>> {
         let node = at.as_node();
-        let _span = node.trace_span(crate::trace::OpKind::Remove);
+        let _span = node.span(crate::trace::OpKind::Remove);
         let key = key.to_word();
         let _mutating = self.sync.read();
-        let _guard = self.smr.pin();
+        let _guard = self.smr.pin(node);
         let base = self.table(node)?;
         let Some(slot) = self.find_slot(node, base, key, false)? else {
             self.persist.complete_op(node)?;
@@ -430,7 +430,7 @@ impl<K: Word, V: Word> DurableMap<K, V> {
         self.persist
             .shared_cas(node, self.header, old_enc, Allocator::encode(fresh), true)?
             .expect("recycle is exclusive");
-        let guard = self.smr.pin();
+        let guard = self.smr.pin(node);
         guard.retire(node, old_base)?;
         drop(guard);
         // Recycle is the heavyweight compaction path already; ripen the
@@ -471,10 +471,10 @@ impl<K: Word, V: Word> DurableMap<K, V> {
         let node = at.as_node();
         let _exclusive = self.sync.write();
         let base = {
-            let _guard = self.smr.pin();
+            let _guard = self.smr.pin(node);
             self.table(node)?
         };
-        let guard = self.smr.pin();
+        let guard = self.smr.pin(node);
         guard.retire(node, base)?;
         guard.retire(node, self.header)?;
         drop(guard);

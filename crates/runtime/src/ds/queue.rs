@@ -137,7 +137,7 @@ impl<T: Word> DurableQueue<T> {
     /// Fails if the issuing machine has crashed.
     pub fn enqueue(&self, at: &impl AsNode, v: T) -> OpResult<bool> {
         let node = at.as_node();
-        let _span = node.trace_span(crate::trace::OpKind::Enqueue);
+        let _span = node.span(crate::trace::OpKind::Enqueue);
         let raw = v.to_word();
         let Some(n) = self.alloc.alloc(node, 2)? else {
             return Ok(false);
@@ -199,7 +199,7 @@ impl<T: Word> DurableQueue<T> {
     /// Fails if the issuing machine has crashed.
     pub fn dequeue(&self, at: &impl AsNode) -> OpResult<Option<T>> {
         let node = at.as_node();
-        let _span = node.trace_span(crate::trace::OpKind::Dequeue);
+        let _span = node.span(crate::trace::OpKind::Dequeue);
         loop {
             let head = self.persist.shared_load(node, self.head_cell(), true)?;
             let tail = self.persist.shared_load(node, self.tail_cell(), true)?;
@@ -582,12 +582,13 @@ mod tests {
     #[test]
     fn sanitizer_flags_enqueue_with_the_value_flush_deleted() {
         use crate::check::{CheckConfig, Checker, ViolationClass};
+        use crate::observe::Observer;
         let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 8192));
         let ck = Arc::new(Checker::new(CheckConfig {
             fail_fast: false,
             ..CheckConfig::default()
         }));
-        f.install_checker(Arc::clone(&ck));
+        f.install_observers(vec![Arc::clone(&ck) as Arc<dyn Observer>]);
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(2),
@@ -597,7 +598,7 @@ mod tests {
         let q: DurableQueue = DurableQueue::create(&alloc, &node).unwrap().unwrap();
         // What the registry does for a named structure: seed durable
         // reachability at the header.
-        ck.add_root(q.header_cell());
+        ck.on_add_root(q.header_cell());
         // The sound protocol is silent.
         assert!(q.enqueue(&node, 1).unwrap());
         assert_eq!(q.dequeue(&node).unwrap(), Some(1));

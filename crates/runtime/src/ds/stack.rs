@@ -103,7 +103,7 @@ impl<T: Word> DurableStack<T> {
     /// Fails if the issuing machine has crashed.
     pub fn push(&self, at: &impl AsNode, v: T) -> OpResult<bool> {
         let node = at.as_node();
-        let _span = node.trace_span(crate::trace::OpKind::Push);
+        let _span = node.span(crate::trace::OpKind::Push);
         let raw = v.to_word();
         let Some(n) = self.alloc.alloc(node, 2)? else {
             return Ok(false);
@@ -134,7 +134,7 @@ impl<T: Word> DurableStack<T> {
     /// Fails if the issuing machine has crashed.
     pub fn pop(&self, at: &impl AsNode) -> OpResult<Option<T>> {
         let node = at.as_node();
-        let _span = node.trace_span(crate::trace::OpKind::Pop);
+        let _span = node.span(crate::trace::OpKind::Pop);
         loop {
             let top = self.persist.shared_load(node, self.top, true)?;
             let Some(t) = self.alloc.decode(top) else {

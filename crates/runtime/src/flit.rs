@@ -89,15 +89,15 @@ impl FlitTable {
 /// means the access needs no durability (it is compiled to the bare
 /// primitive).
 ///
-/// **Ack discipline.** A strategy must call `NodeHandle::ack_persist`
-/// at the exact point a flagged store/RMW becomes durable (after the
-/// `RFlush` here, after the trailing `Barrier` in
-/// [`FlitAsync`](crate::flit_async::FlitAsync)): the persistency
-/// sanitizer ([`crate::check`]) treats the ack as the durability claim
-/// it audits, and the tracer ([`crate::trace`]) counts acks into each
-/// op span's persist amplification. Strategies that make no per-store
-/// durability claim (`NoPersistence`, the buffered relaxation) simply
-/// never ack.
+/// **Ack discipline.** A strategy must raise the persist-ack event
+/// (`node.observe(|o| o.on_persist_ack(loc))`) at the exact point a
+/// flagged store/RMW becomes durable (after the `RFlush` here, after the
+/// trailing `Barrier` in [`FlitAsync`](crate::flit_async::FlitAsync)):
+/// the persistency sanitizer ([`crate::check`]) treats the ack as the
+/// durability claim it audits, and the tracer ([`crate::trace`]) counts
+/// acks into each op span's persist amplification. Strategies that make
+/// no per-store durability claim (`NoPersistence`, the buffered
+/// relaxation) simply never ack.
 pub trait Persistence: Send + Sync + fmt::Debug {
     /// Short name for reports.
     fn name(&self) -> &'static str;
@@ -270,7 +270,7 @@ impl FlitCore {
                 flush_with(self.policy, node, loc)?;
                 // The strategy now considers `loc` persisted: the checker
                 // compares that belief against the shadow cell state.
-                node.ack_persist(loc);
+                node.observe(|o| o.on_persist_ack(loc));
                 Ok(())
             });
             self.table.exit(loc);
@@ -284,7 +284,7 @@ impl FlitCore {
         node.lstore(loc, v)?;
         if pflag {
             flush_with(self.policy, node, loc)?;
-            node.ack_persist(loc);
+            node.observe(|o| o.on_persist_ack(loc));
         }
         Ok(())
     }
@@ -307,7 +307,7 @@ impl FlitCore {
             // shared_load would (condition 3 of the P-V interface).
             flush_with(self.policy, node, loc)?;
             if r.is_ok() {
-                node.ack_persist(loc);
+                node.observe(|o| o.on_persist_ack(loc));
             }
             Ok(r)
         });
@@ -322,7 +322,7 @@ impl FlitCore {
         self.table.enter(loc);
         let result = node.faa(StoreKind::Local, loc, delta).and_then(|old| {
             flush_with(self.policy, node, loc)?;
-            node.ack_persist(loc);
+            node.observe(|o| o.on_persist_ack(loc));
             Ok(old)
         });
         self.table.exit(loc);

@@ -118,7 +118,7 @@ impl Persistence for FlitAsync {
             // The trailing barrier is this strategy's durability point:
             // acknowledge it to the sanitizer/tracer seam, as the
             // synchronous strategies do after their RFlush.
-            node.ack_persist(loc);
+            node.observe(|o| o.on_persist_ack(loc));
             Ok(())
         });
         // On a crash the counter stays raised: a leaked positive counter
@@ -138,7 +138,7 @@ impl Persistence for FlitAsync {
         if pflag {
             node.aflush(loc)?;
             node.barrier()?;
-            node.ack_persist(loc);
+            node.observe(|o| o.on_persist_ack(loc));
         }
         Ok(())
     }
@@ -161,7 +161,7 @@ impl Persistence for FlitAsync {
             // p-load and helps persist the observed one (condition 3).
             node.aflush(loc)?;
             node.barrier()?;
-            node.ack_persist(loc);
+            node.observe(|o| o.on_persist_ack(loc));
             Ok(r)
         });
         if result.is_ok() {
@@ -179,7 +179,7 @@ impl Persistence for FlitAsync {
         let result = node.faa(StoreKind::Local, loc, delta).and_then(|old| {
             node.aflush(loc)?;
             node.barrier()?;
-            node.ack_persist(loc);
+            node.observe(|o| o.on_persist_ack(loc));
             Ok(old)
         });
         if result.is_ok() {

@@ -92,6 +92,7 @@ pub mod error;
 pub mod flit;
 pub mod flit_async;
 pub mod heap;
+mod observe;
 pub mod smr;
 pub mod snapshot;
 pub mod trace;

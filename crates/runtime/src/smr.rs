@@ -29,7 +29,9 @@
 //! with the same Dekker-ordered store-then-recheck discipline the crash
 //! gate uses, so an epoch advance either sees the pin or the pinner
 //! sees the newer epoch and re-publishes. The returned [`SmrGuard`]
-//! unpins on drop.
+//! unpins on drop. A pin names its issuing node, like `retire` and
+//! `collect`: the domain reports to the fabric's observers through it
+//! and holds no instrument of its own.
 //!
 //! Unlinked blocks are [`retire`](SmrGuard::retire)d — not freed — into
 //! per-epoch **limbo bags**. The epoch advances from `e` to `e + 1`
@@ -71,7 +73,7 @@
 //!
 //! let block = alloc.alloc(&node, 2)?.expect("heap fits");
 //! {
-//!     let guard = smr.pin();
+//!     let guard = smr.pin(&node);
 //!     guard.retire(&node, block.loc)?; // durably unlinked elsewhere
 //! } // traversal ends: the pin drops
 //! let freed = smr.collect(&node)?;    // both grace epochs elapse
@@ -81,7 +83,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use cxl0_model::Loc;
 use parking_lot::Mutex;
@@ -182,11 +184,6 @@ pub struct SmrDomain {
     retires: AtomicU64,
     reclaims: AtomicU64,
     advances: AtomicU64,
-    /// The persistency sanitizer, when one is installed on this domain's
-    /// cluster: pin/unpin are purely volatile (no [`NodeHandle`] in
-    /// scope), so the domain carries its own handle instead of routing
-    /// through the fabric.
-    checker: OnceLock<Arc<crate::check::Checker>>,
 }
 
 impl SmrDomain {
@@ -203,14 +200,7 @@ impl SmrDomain {
             retires: AtomicU64::new(0),
             reclaims: AtomicU64::new(0),
             advances: AtomicU64::new(0),
-            checker: OnceLock::new(),
         }
-    }
-
-    /// Installs the persistency sanitizer (first installation wins;
-    /// called from cluster construction).
-    pub(crate) fn install_checker(&self, checker: Arc<crate::check::Checker>) {
-        let _ = self.checker.set(checker);
     }
 
     /// The allocator retired blocks drain back into.
@@ -250,11 +240,13 @@ impl SmrDomain {
         }
     }
 
-    /// Pins the current thread into the domain: the returned guard
-    /// keeps every block retired from *now* on out of reuse until the
-    /// guard drops. Pins nest (a slot counts them) and are purely
-    /// volatile — no fabric operations, no errors.
-    pub fn pin(&self) -> SmrGuard<'_> {
+    /// Pins the current thread, issuing from `at`, into the domain: the
+    /// returned guard keeps every block retired from *now* on out of
+    /// reuse until the guard drops. Pins nest (a slot counts them) and
+    /// are purely volatile — no fabric operations, no errors; `at` only
+    /// names the fabric whose observers see the pin and its release.
+    pub fn pin<'a>(&'a self, at: &'a impl AsNode) -> SmrGuard<'a> {
+        let node = at.as_node();
         let idx = thread_slot_index().min(RAIL_SLOTS);
         let slot = &self.slots[idx];
         if idx < RAIL_SLOTS {
@@ -313,16 +305,15 @@ impl SmrDomain {
             }
             slot.pins.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(ck) = self.checker.get() {
-            ck.on_pin(idx, slot.word.load(Ordering::SeqCst) & EPOCH_MASK);
-        }
+        node.observe(|o| o.on_pin(idx, slot.word.load(Ordering::SeqCst) & EPOCH_MASK));
         SmrGuard {
             domain: self,
+            node,
             slot: idx,
         }
     }
 
-    fn unpin(&self, idx: usize) {
+    fn unpin(&self, node: &NodeHandle, idx: usize) {
         let slot = &self.slots[idx];
         if idx < RAIL_SLOTS {
             let w = slot.word.load(Ordering::Relaxed);
@@ -337,9 +328,7 @@ impl SmrDomain {
             // them and the next first pinner overwrites them.
             slot.word.fetch_sub(COUNT_ONE, Ordering::Release);
         }
-        if let Some(ck) = self.checker.get() {
-            ck.on_unpin(idx);
-        }
+        node.observe(|o| o.on_unpin(idx));
     }
 
     /// Retires `payload` (the payload location of an allocator block
@@ -362,7 +351,7 @@ impl SmrDomain {
             }
         }
         self.limbo_len.fetch_add(1, Ordering::Relaxed);
-        node.check_retire(payload, e);
+        node.observe(|o| o.on_retire(payload, e));
         let n = self.retires.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(COLLECT_EVERY) {
             self.collect_inner(node)?;
@@ -412,7 +401,7 @@ impl SmrDomain {
     /// Fails if the issuing machine has crashed; blocks not yet freed
     /// stay in limbo for [`SmrDomain::recover`].
     pub fn collect(&self, at: &impl AsNode) -> OpResult<usize> {
-        let _span = at.as_node().trace_span(crate::trace::OpKind::SmrCollect);
+        let _span = at.as_node().span(crate::trace::OpKind::SmrCollect);
         self.collect_inner(at.as_node())
     }
 
@@ -489,7 +478,7 @@ impl SmrDomain {
         for slot in self.slots.iter() {
             slot.word.store(0, Ordering::SeqCst);
         }
-        node.check_smr_recover();
+        node.observe(|o| o.on_smr_recover());
         let bags: Vec<Bag> = self.limbo.lock().drain(..).collect();
         let mut swept = 0;
         for bag in bags {
@@ -531,6 +520,7 @@ pub fn exhaustion_backoff(attempt: u32) {
 #[derive(Debug)]
 pub struct SmrGuard<'a> {
     domain: &'a SmrDomain,
+    node: &'a NodeHandle,
     slot: usize,
 }
 
@@ -557,7 +547,7 @@ impl SmrGuard<'_> {
 
 impl Drop for SmrGuard<'_> {
     fn drop(&mut self) {
-        self.domain.unpin(self.slot);
+        self.domain.unpin(self.node, self.slot);
     }
 }
 
@@ -584,7 +574,7 @@ mod tests {
         let (f, alloc, smr) = setup();
         let node = f.node(MachineId(0));
         let b = alloc.alloc(&node, 2).unwrap().unwrap();
-        smr.pin().retire(&node, b.loc).unwrap();
+        smr.pin(&node).retire(&node, b.loc).unwrap();
         // No pins: one collect ripens both grace epochs.
         assert_eq!(smr.collect(&node).unwrap(), 1);
         let again = alloc.alloc(&node, 2).unwrap().unwrap();
@@ -596,9 +586,9 @@ mod tests {
     fn live_pin_blocks_reclamation_until_dropped() {
         let (f, alloc, smr) = setup();
         let node = f.node(MachineId(0));
-        let reader = smr.pin(); // pinned before the retire
+        let reader = smr.pin(&node); // pinned before the retire
         let b = alloc.alloc(&node, 2).unwrap().unwrap();
-        smr.pin().retire(&node, b.loc).unwrap();
+        smr.pin(&node).retire(&node, b.loc).unwrap();
         assert_eq!(smr.collect(&node).unwrap(), 0, "reader still pinned");
         assert_eq!(smr.limbo_len(), 1);
         drop(reader);
@@ -610,9 +600,9 @@ mod tests {
     fn pins_nest() {
         let (f, alloc, smr) = setup();
         let node = f.node(MachineId(0));
-        let outer = smr.pin();
+        let outer = smr.pin(&node);
         {
-            let _inner = smr.pin();
+            let _inner = smr.pin(&node);
         }
         // The inner unpin must not have released the outer pin.
         let b = alloc.alloc(&node, 2).unwrap().unwrap();
@@ -630,7 +620,7 @@ mod tests {
         // limbo must stay bounded by the amortized passes.
         for _ in 0..64 {
             let b = alloc.alloc(&node, 2).unwrap().unwrap();
-            smr.pin().retire(&node, b.loc).unwrap();
+            smr.pin(&node).retire(&node, b.loc).unwrap();
         }
         assert!(
             smr.limbo_len() < 32,
@@ -646,7 +636,7 @@ mod tests {
         let node = f.node(MachineId(0));
         let mut locs = Vec::new();
         {
-            let guard = smr.pin();
+            let guard = smr.pin(&node);
             for _ in 0..3 {
                 let b = alloc.alloc(&node, 2).unwrap().unwrap();
                 guard.retire(&node, b.loc).unwrap();
@@ -672,7 +662,7 @@ mod tests {
         let before = smr.stats();
         let b = alloc.alloc(&node, 2).unwrap().unwrap();
         {
-            let g = smr.pin();
+            let g = smr.pin(&node);
             g.retire(&node, b.loc).unwrap();
         }
         smr.collect(&node).unwrap();
@@ -704,7 +694,7 @@ mod tests {
             let node = f.node(MachineId(t % 2));
             handles.push(std::thread::spawn(move || {
                 for _ in 0..200 {
-                    let guard = smr.pin();
+                    let guard = smr.pin(&node);
                     let b = alloc.alloc(&node, 2).unwrap().expect("region cycles");
                     guard.retire(&node, b.loc).unwrap();
                 }

@@ -87,7 +87,7 @@ impl fmt::Display for MemorySnapshot {
 ///
 /// Fails if the issuing machine has crashed.
 pub fn take_gpf_snapshot(node: &NodeHandle) -> OpResult<MemorySnapshot> {
-    let _span = node.trace_span(crate::trace::OpKind::GpfSnapshot);
+    let _span = node.span(crate::trace::OpKind::GpfSnapshot);
     node.gpf()?;
     let mut values = BTreeMap::new();
     for loc in node.fabric().config().all_locations() {

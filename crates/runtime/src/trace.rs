@@ -12,8 +12,9 @@
 //! ## Design
 //!
 //! The tracer is always compiled and strictly opt-in, mirroring the
-//! [`check`](crate::check) sanitizer: a [`Tracer`] is installed on a
-//! [`SimFabric`] once ([`SimFabric::install_tracer`]), usually via
+//! [`check`](crate::check) sanitizer: a [`Tracer`] is one of the
+//! observers a [`SimFabric`] is built with (the crate's single
+//! instrumentation seam, shared with the sanitizer), armed by
 //! [`ClusterBuilder::with_tracing`](crate::api::ClusterBuilder::with_tracing)
 //! or the `CXL0_TRACE` environment variable. Without one installed,
 //! every hook is a single `OnceLock` load on the hot path and **no new
@@ -48,7 +49,8 @@
 //! * **Recovery phases.** `Session::recover_roots` wraps each recovery
 //!   phase (buffered replay, allocator sweep, SMR limbo drain, registry
 //!   seal) in a [`PhaseGuard`]; the resulting [`PhaseTiming`] breakdown
-//!   is queryable and exported alongside op spans.
+//!   is queryable and exported alongside op spans. Opening the first
+//!   phase ([`RecoveryPhase::BufferedReplay`]) starts a fresh breakdown.
 //! * **Violations.** With both a sanitizer and a tracer installed,
 //!   every [`Violation`](crate::check::Violation) also lands in the
 //!   trace as an instant event with machine/thread provenance.
@@ -68,7 +70,6 @@
 //! overhead numbers.
 //!
 //! [`SimFabric`]: crate::backend::SimFabric
-//! [`SimFabric::install_tracer`]: crate::backend::SimFabric::install_tracer
 //! [`SimFabric::crash`]: crate::backend::SimFabric::crash
 
 use std::collections::VecDeque;
@@ -78,7 +79,8 @@ use std::time::Instant;
 use cxl0_model::{Loc, MachineId};
 use parking_lot::Mutex;
 
-use crate::backend::{thread_slot_index, RailProbe, Stats, RAIL_SLOTS};
+use crate::backend::{thread_slot_index, NodeHandle, RailProbe, RAIL_SLOTS};
+use crate::observe::Observer;
 
 /// Number of log2 buckets in a [`LatencyHistogram`] (covers the full
 /// `u64` nanosecond range).
@@ -442,11 +444,10 @@ impl Ring {
     }
 }
 
-/// The runtime tracer. Install one per fabric
-/// ([`SimFabric::install_tracer`](crate::backend::SimFabric::install_tracer));
-/// the cluster layer does this for you
+/// The runtime tracer. The cluster layer installs one on its fabric
 /// ([`ClusterBuilder::with_tracing`](crate::api::ClusterBuilder::with_tracing)
-/// or `CXL0_TRACE`).
+/// or `CXL0_TRACE`); its hooks are crate-internal, and the public
+/// surface is querying and exporting.
 #[derive(Debug)]
 pub struct Tracer {
     cfg: TraceConfig,
@@ -493,56 +494,47 @@ impl Tracer {
     fn slot_index() -> usize {
         thread_slot_index().min(RAIL_SLOTS)
     }
+}
 
+/// Op spans, recovery phases, persist acks and crash seals arrive
+/// through the fabric's observer list.
+impl Observer for Tracer {
     /// Opens an op span on the calling thread. Timing and persist
     /// attribution are sampled from the thread's stats rail; threads on
     /// the shared overflow rail get attribution polluted by their rail
     /// mates (exactly the stats rails' accuracy trade).
-    pub(crate) fn span<'a>(
-        &'a self,
-        kind: OpKind,
-        stats: &'a Stats,
-        machine: Option<MachineId>,
-    ) -> SpanGuard<'a> {
+    fn span<'a>(&'a self, kind: OpKind, node: &'a NodeHandle) -> Option<SpanGuard<'a>> {
         let slot = Self::slot_index();
-        SpanGuard {
+        Some(SpanGuard {
             tracer: self,
-            stats,
+            node,
             kind,
             slot,
-            machine,
             wall0: self.now_ns(),
-            probe0: stats.rail_probe(),
+            probe0: node.fabric().stats().rail_probe(),
             acks0: self.slots[slot].acks.load(Ordering::Relaxed),
-        }
+        })
     }
 
     /// Opens a recovery-phase span (fabric-wide simulated time).
-    pub(crate) fn phase<'a>(
-        &'a self,
-        phase: RecoveryPhase,
-        stats: &'a Stats,
-        machine: Option<MachineId>,
-    ) -> PhaseGuard<'a> {
-        PhaseGuard {
-            tracer: self,
-            stats,
-            phase,
-            machine,
-            wall0: self.now_ns(),
-            sim0: stats.sim_nanos(),
+    /// Phases open in [`RecoveryPhase::ALL`] order, so opening the first
+    /// starts a fresh breakdown (the latest pass only).
+    fn phase<'a>(&'a self, phase: RecoveryPhase, node: &'a NodeHandle) -> Option<PhaseGuard<'a>> {
+        if phase == RecoveryPhase::BufferedReplay {
+            self.recovery.lock().clear();
         }
-    }
-
-    /// Starts a fresh recovery breakdown (called at the top of
-    /// `Session::recover_roots`).
-    pub(crate) fn begin_recovery(&self) {
-        self.recovery.lock().clear();
+        Some(PhaseGuard {
+            tracer: self,
+            node,
+            phase,
+            wall0: self.now_ns(),
+            sim0: node.fabric().stats().sim_nanos(),
+        })
     }
 
     /// The persistence strategy acknowledged a store as durable on the
     /// calling thread.
-    pub(crate) fn on_persist_ack(&self) {
+    fn on_persist_ack(&self, _loc: Loc) {
         let slot = Self::slot_index();
         let rec = &self.slots[slot];
         if rec.shared {
@@ -560,7 +552,7 @@ impl Tracer {
     /// spans. Histograms are cumulative and survive the crash. A span
     /// still open across the crash (its thread parked at the gate) is
     /// recorded under the next incarnation when it closes.
-    pub(crate) fn on_crash(&self) {
+    fn on_crash(&self, _crashed: u64, _zeroed: u64, _psn_wipe: bool) {
         self.incarnation.fetch_add(1, Ordering::Relaxed);
         let mut retired = self.retired.lock();
         for rec in self.slots.iter() {
@@ -574,7 +566,9 @@ impl Tracer {
             }
         }
     }
+}
 
+impl Tracer {
     /// Records a sanitizer violation as an instant event with
     /// provenance.
     pub(crate) fn violation(
@@ -711,15 +705,14 @@ impl Tracer {
 }
 
 /// RAII guard for one op span; recording happens on drop. Opened
-/// through the fabric's tracer seam (`NodeHandle::trace_span`), never
+/// through the fabric's observer seam (`NodeHandle::span`), never
 /// directly.
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
-    stats: &'a Stats,
+    node: &'a NodeHandle,
     kind: OpKind,
     slot: usize,
-    machine: Option<MachineId>,
     wall0: u64,
     probe0: RailProbe,
     acks0: u64,
@@ -728,12 +721,12 @@ pub struct SpanGuard<'a> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let wall1 = self.tracer.now_ns();
-        let probe1 = self.stats.rail_probe();
+        let probe1 = self.node.fabric().stats().rail_probe();
         let acks1 = self.tracer.slots[self.slot].acks.load(Ordering::Relaxed);
         let ev = TraceEvent {
             kind: EventKind::Op(self.kind),
             slot: self.slot,
-            machine: self.machine,
+            machine: Some(self.node.machine()),
             incarnation: self.tracer.incarnation.load(Ordering::Relaxed),
             wall_start_ns: self.wall0,
             wall_dur_ns: wall1.saturating_sub(self.wall0),
@@ -756,9 +749,8 @@ impl Drop for SpanGuard<'_> {
 #[derive(Debug)]
 pub struct PhaseGuard<'a> {
     tracer: &'a Tracer,
-    stats: &'a Stats,
+    node: &'a NodeHandle,
     phase: RecoveryPhase,
-    machine: Option<MachineId>,
     wall0: u64,
     sim0: u64,
 }
@@ -766,7 +758,7 @@ pub struct PhaseGuard<'a> {
 impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
         let wall1 = self.tracer.now_ns();
-        let sim1 = self.stats.sim_nanos();
+        let sim1 = self.node.fabric().stats().sim_nanos();
         let timing = PhaseTiming {
             phase: self.phase,
             wall_ns: wall1.saturating_sub(self.wall0),
@@ -777,7 +769,7 @@ impl Drop for PhaseGuard<'_> {
         let ev = TraceEvent {
             kind: EventKind::Recovery(self.phase),
             slot,
-            machine: self.machine,
+            machine: Some(self.node.machine()),
             incarnation: self.tracer.incarnation.load(Ordering::Relaxed),
             wall_start_ns: self.wall0,
             wall_dur_ns: timing.wall_ns,

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use cxl0::api::{Cluster, PersistMode};
 use cxl0::model::{MachineId, SystemConfig};
 use cxl0::runtime::{CheckConfig, ViolationClass};
+use cxl0::trace::{EventKind, OpKind, TraceConfig};
 
 const MEM: MachineId = MachineId(2);
 
@@ -141,11 +142,16 @@ fn unadapted_x86_flit_trips_unpersisted_read_at_recovery() {
             fail_fast: false,
             ..CheckConfig::default()
         })
+        // Armed together, both observers hear every event through the
+        // fabric's one observer list.
+        .with_tracing(TraceConfig::default())
         .build()
         .unwrap();
     let session = cluster.session(MachineId(0));
     let reg = session.create_register::<u64>("r").unwrap();
     reg.write(&session, 7).unwrap();
+    let q = session.create_queue::<u64>("q").unwrap();
+    assert!(q.enqueue(&session, 1).unwrap());
     cluster.crash(MEM);
     cluster.recover(MEM);
     let v = reg.read(&session).unwrap();
@@ -164,6 +170,20 @@ fn unadapted_x86_flit_trips_unpersisted_read_at_recovery() {
         ck.unpersisted_reads(),
         "violation counters surface through StatsSnapshot"
     );
+    // The tracer, armed beside the checker, lands every violation on
+    // the timeline and still attributes the strategy's persist acks.
+    let events = cluster.tracer().expect("tracer armed").events();
+    let traced = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Violation(_)))
+        .count();
+    assert_eq!(traced as u64, ck.total_violations());
+    let acks: u64 = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Op(OpKind::Enqueue))
+        .map(|e| e.persist_acks)
+        .sum();
+    assert!(acks > 0, "the enqueue span carries its persist acks");
 }
 
 /// The identical scenario under every sound mode stays silent: the

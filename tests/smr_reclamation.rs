@@ -349,11 +349,11 @@ fn run_smr_interleaving(persist: Arc<dyn Persistence>, ops: Vec<SmrOp>) {
                     continue;
                 }
                 let loc = model.live.remove(usize::from(i) % model.live.len());
-                smr.pin().retire(&node, loc).unwrap();
+                smr.pin(&node).retire(&node, loc).unwrap();
                 model.retire(loc);
             }
             SmrOp::Pin => {
-                outer.push(smr.pin());
+                outer.push(smr.pin(&node));
                 model.pin();
             }
             SmrOp::Unpin => {
