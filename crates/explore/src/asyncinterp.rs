@@ -1,17 +1,22 @@
 //! Nondeterministic interpretation of the `CXL0_AF` asynchronous-flush
 //! extension (`cxl0_model::asyncflush`).
 //!
-//! This mirrors [`crate::interp::Explorer`] for the extended system: the
-//! silent-step alphabet additionally contains *retirement* steps that
-//! discharge pending persistency-buffer entries, so the τ-closure here
+//! [`AsyncExplorer`] is the generic [`Explorer`] over [`AsyncSemantics`]:
+//! the silent-step alphabet additionally contains *retirement* steps that
+//! discharge pending persistency-buffer entries, so the τ-closure
 //! saturates under propagation **and** retirement. On top of the `⟹`
-//! relation we provide the same trace-executability and outcome-comparison
+//! relation it answers the same trace-executability and outcome-comparison
 //! queries, which the `paper_async` litmus suite and the
 //! `AFlush;Barrier ≡ RFlush` equivalence checks are built on.
 
 use std::collections::BTreeSet;
 
-use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics, AsyncState};
+use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics, AsyncSilentStep, AsyncState};
+use cxl0_model::StepError;
+
+use crate::interp::{step_system, Explorer, StepSystem};
+
+step_system!(AsyncSemantics, AsyncState, AsyncLabel, AsyncSilentStep);
 
 /// A canonical set of extended states.
 pub type AsyncStateSet = BTreeSet<AsyncState>;
@@ -51,122 +56,7 @@ pub type AsyncStateSet = BTreeSet<AsyncState>;
 /// ];
 /// assert!(!exp.is_allowed(&safe));
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct AsyncExplorer<'a> {
-    sem: &'a AsyncSemantics,
-}
-
-impl<'a> AsyncExplorer<'a> {
-    /// Creates an explorer over the given extended semantics.
-    pub fn new(sem: &'a AsyncSemantics) -> Self {
-        AsyncExplorer { sem }
-    }
-
-    /// The underlying semantics.
-    pub fn semantics(&self) -> &'a AsyncSemantics {
-        self.sem
-    }
-
-    /// The τ-closed singleton of the initial state.
-    pub fn initial_set(&self) -> AsyncStateSet {
-        let mut s = AsyncStateSet::new();
-        s.insert(self.sem.initial_state());
-        self.tau_closure(&s)
-    }
-
-    /// All states reachable from `set` by zero or more silent steps
-    /// (propagation *and* retirement). Terminates: propagation moves values
-    /// monotonically toward memory and retirement strictly shrinks buffers.
-    pub fn tau_closure(&self, set: &AsyncStateSet) -> AsyncStateSet {
-        let mut closed: AsyncStateSet = set.clone();
-        let mut frontier: Vec<AsyncState> = set.iter().cloned().collect();
-        while let Some(st) = frontier.pop() {
-            for step in self.sem.silent_steps(&st) {
-                let next = self
-                    .sem
-                    .apply_silent(&st, &step)
-                    .expect("enumerated silent step must be enabled");
-                if closed.insert(next.clone()) {
-                    frontier.push(next);
-                }
-            }
-        }
-        closed
-    }
-
-    /// Applies one visible label to every state in `set` (blocked or
-    /// mismatching states drop out), without silent steps.
-    pub fn apply_label(&self, set: &AsyncStateSet, label: &AsyncLabel) -> AsyncStateSet {
-        set.iter()
-            .filter_map(|st| self.sem.apply(st, label).ok())
-            .collect()
-    }
-
-    /// The `⟹` step for one label: τ-closure, the label, τ-closure.
-    pub fn after_label(&self, set: &AsyncStateSet, label: &AsyncLabel) -> AsyncStateSet {
-        let closed = self.tau_closure(set);
-        let stepped = self.apply_label(&closed, label);
-        self.tau_closure(&stepped)
-    }
-
-    /// The `⟹` relation for a whole label sequence starting from `set`.
-    pub fn after_trace(&self, set: &AsyncStateSet, trace: &[AsyncLabel]) -> AsyncStateSet {
-        let mut cur = self.tau_closure(set);
-        for label in trace {
-            if cur.is_empty() {
-                break;
-            }
-            cur = self.after_label(&cur, label);
-        }
-        cur
-    }
-
-    /// The states reachable from the initial state via `trace`.
-    pub fn run_trace(&self, trace: &[AsyncLabel]) -> AsyncStateSet {
-        self.after_trace(&self.initial_set(), trace)
-    }
-
-    /// Whether `trace` is executable from the initial state.
-    pub fn is_allowed(&self, trace: &[AsyncLabel]) -> bool {
-        !self.run_trace(trace).is_empty()
-    }
-
-    /// Whether two label sequences lead to the same τ-closed outcome sets
-    /// from `set`.
-    pub fn same_outcomes(&self, set: &AsyncStateSet, a: &[AsyncLabel], b: &[AsyncLabel]) -> bool {
-        self.after_trace(set, a) == self.after_trace(set, b)
-    }
-
-    /// Whether every outcome of `a` is an outcome of `b` from `set`.
-    pub fn simulates(&self, set: &AsyncStateSet, a: &[AsyncLabel], b: &[AsyncLabel]) -> bool {
-        self.after_trace(set, a)
-            .is_subset(&self.after_trace(set, b))
-    }
-
-    /// Enumerates every state reachable from the initial state using the
-    /// given visible-label alphabet (with τ steps interleaved freely),
-    /// up to `max_states` states. Used by the exhaustive
-    /// `AFlush;Barrier ≡ RFlush` equivalence checks.
-    pub fn reachable_states(&self, alphabet: &[AsyncLabel], max_states: usize) -> AsyncStateSet {
-        let mut seen = self.initial_set();
-        let mut frontier: Vec<AsyncState> = seen.iter().cloned().collect();
-        'explore: while let Some(st) = frontier.pop() {
-            let mut singleton = AsyncStateSet::new();
-            singleton.insert(st);
-            for label in alphabet {
-                for next in self.after_label(&singleton, label) {
-                    if seen.len() >= max_states {
-                        break 'explore;
-                    }
-                    if seen.insert(next.clone()) {
-                        frontier.push(next);
-                    }
-                }
-            }
-        }
-        seen
-    }
-}
+pub type AsyncExplorer<'a> = Explorer<'a, AsyncSemantics>;
 
 #[cfg(test)]
 mod tests {

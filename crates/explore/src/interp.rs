@@ -7,16 +7,71 @@
 //! *τ-closure* (saturating under propagation) and *label application*.
 //! These state sets are exactly the subsets used by a determinized view of
 //! the LTS, which the refinement checker builds products of.
+//! [`Explorer`] is generic over a [`StepSystem`], so the same code also
+//! interprets the `CXL0_AF` extension ([`crate::asyncinterp`]).
 
 use std::collections::BTreeSet;
 
-use cxl0_model::{Label, Semantics, State, Trace};
+#[cfg(test)]
+use cxl0_model::Trace;
+use cxl0_model::{Label, Semantics, SilentStep, State, StepError};
 
 /// A canonical set of states (τ-closures are represented this way so that
 /// they can be hashed and compared during product exploration).
 pub type StateSet = BTreeSet<State>;
 
-/// Interprets traces under a fixed [`Semantics`].
+/// What an [`Explorer`] needs of a semantics: an initial state, visible
+/// labels, and enumerable silent steps. A step that is not enabled is an
+/// `Err`, which explorers treat as a dead branch.
+pub trait StepSystem {
+    /// A system state.
+    type State: Clone + Ord;
+    /// A visible label.
+    type Label: 'static;
+    /// A silent (τ) step.
+    type Silent;
+    /// The initial state.
+    fn initial_state(&self) -> Self::State;
+    /// Applies one visible label.
+    fn apply(&self, st: &Self::State, label: &Self::Label) -> Result<Self::State, StepError>;
+    /// The silent steps enabled in `st`.
+    fn silent_steps(&self, st: &Self::State) -> Vec<Self::Silent>;
+    /// Applies one silent step.
+    fn apply_silent(&self, st: &Self::State, step: &Self::Silent)
+        -> Result<Self::State, StepError>;
+}
+
+/// Implements [`StepSystem`] by forwarding to a semantics' inherent
+/// methods of the same names.
+macro_rules! step_system {
+    ($sem:ty, $state:ty, $label:ty, $silent:ty) => {
+        impl StepSystem for $sem {
+            type State = $state;
+            type Label = $label;
+            type Silent = $silent;
+            fn initial_state(&self) -> $state {
+                <$sem>::initial_state(self)
+            }
+            fn apply(&self, st: &$state, label: &$label) -> Result<$state, StepError> {
+                <$sem>::apply(self, st, label)
+            }
+            fn silent_steps(&self, st: &$state) -> Vec<$silent> {
+                <$sem>::silent_steps(self, st)
+            }
+            fn apply_silent(&self, st: &$state, step: &$silent) -> Result<$state, StepError> {
+                <$sem>::apply_silent(self, st, step)
+            }
+        }
+    };
+}
+
+pub(crate) use step_system;
+
+step_system!(Semantics, State, Label, SilentStep);
+
+/// Interprets traces under a fixed semantics: the base [`Semantics`] by
+/// default, or any other [`StepSystem`] such as the `CXL0_AF` extension
+/// ([`AsyncExplorer`](crate::AsyncExplorer)).
 ///
 /// # Examples
 ///
@@ -44,35 +99,42 @@ pub type StateSet = BTreeSet<State>;
 /// ]);
 /// assert!(!exp.is_allowed(&t));
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Explorer<'a> {
-    sem: &'a Semantics,
+#[derive(Debug)]
+pub struct Explorer<'a, S = Semantics> {
+    sem: &'a S,
 }
 
-impl<'a> Explorer<'a> {
+impl<S> Clone for Explorer<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for Explorer<'_, S> {}
+
+impl<'a, S: StepSystem> Explorer<'a, S> {
     /// Creates an explorer over the given semantics.
-    pub fn new(sem: &'a Semantics) -> Self {
+    pub fn new(sem: &'a S) -> Self {
         Explorer { sem }
     }
 
     /// The underlying semantics.
-    pub fn semantics(&self) -> &'a Semantics {
+    pub fn semantics(&self) -> &'a S {
         self.sem
     }
 
     /// The τ-closed singleton of the initial state.
-    pub fn initial_set(&self) -> StateSet {
-        let mut s = StateSet::new();
-        s.insert(self.sem.initial_state());
-        self.tau_closure(&s)
+    pub fn initial_set(&self) -> BTreeSet<S::State> {
+        self.tau_closure(&BTreeSet::from([self.sem.initial_state()]))
     }
 
-    /// All states reachable from `set` by zero or more silent propagation
-    /// steps (a fixpoint; always terminates because propagation strictly
-    /// moves values toward memory and the state space is finite).
-    pub fn tau_closure(&self, set: &StateSet) -> StateSet {
-        let mut closed: StateSet = set.clone();
-        let mut frontier: Vec<State> = set.iter().cloned().collect();
+    /// All states reachable from `set` by zero or more silent steps (a
+    /// fixpoint; always terminates because propagation strictly moves
+    /// values toward memory, retirement strictly shrinks persistency
+    /// buffers, and the state space is finite).
+    pub fn tau_closure(&self, set: &BTreeSet<S::State>) -> BTreeSet<S::State> {
+        let mut closed = set.clone();
+        let mut frontier: Vec<S::State> = set.iter().cloned().collect();
         while let Some(st) = frontier.pop() {
             for step in self.sem.silent_steps(&st) {
                 let next = self
@@ -90,7 +152,7 @@ impl<'a> Explorer<'a> {
     /// Applies one visible label to every state in `set` (states where the
     /// label is blocked or mismatching simply drop out), without silent
     /// steps.
-    pub fn apply_label(&self, set: &StateSet, label: &Label) -> StateSet {
+    pub fn apply_label(&self, set: &BTreeSet<S::State>, label: &S::Label) -> BTreeSet<S::State> {
         set.iter()
             .filter_map(|st| self.sem.apply(st, label).ok())
             .collect()
@@ -98,14 +160,20 @@ impl<'a> Explorer<'a> {
 
     /// The `⟹` step for one label: τ-closure, then the label, then
     /// τ-closure again. Input need not be τ-closed.
-    pub fn after_label(&self, set: &StateSet, label: &Label) -> StateSet {
+    pub fn after_label(&self, set: &BTreeSet<S::State>, label: &S::Label) -> BTreeSet<S::State> {
         let closed = self.tau_closure(set);
         let stepped = self.apply_label(&closed, label);
         self.tau_closure(&stepped)
     }
 
-    /// The `⟹` relation for a whole trace starting from `set`.
-    pub fn after_trace(&self, set: &StateSet, trace: &Trace) -> StateSet {
+    /// The `⟹` relation for a whole trace starting from `set`. Here and
+    /// below a trace is any sequence of label references: a `&`[`Trace`](cxl0_model::Trace),
+    /// a slice or an array.
+    pub fn after_trace<'t>(
+        &self,
+        set: &BTreeSet<S::State>,
+        trace: impl IntoIterator<Item = &'t S::Label>,
+    ) -> BTreeSet<S::State> {
         let mut cur = self.tau_closure(set);
         for label in trace {
             if cur.is_empty() {
@@ -118,28 +186,64 @@ impl<'a> Explorer<'a> {
 
     /// The states reachable from the initial state via `trace` (with τ
     /// steps interleaved freely).
-    pub fn run_trace(&self, trace: &Trace) -> StateSet {
+    pub fn run_trace<'t>(
+        &self,
+        trace: impl IntoIterator<Item = &'t S::Label>,
+    ) -> BTreeSet<S::State> {
         self.after_trace(&self.initial_set(), trace)
     }
 
     /// Whether `trace` is executable from the initial state — i.e. whether
     /// the behavior it describes is *allowed* by the model.
-    pub fn is_allowed(&self, trace: &Trace) -> bool {
+    pub fn is_allowed<'t>(&self, trace: impl IntoIterator<Item = &'t S::Label>) -> bool {
         !self.run_trace(trace).is_empty()
     }
 
     /// Whether two label sequences lead to exactly the same τ-closed state
     /// sets from `set` — the workhorse for Proposition-1 style equivalence
     /// checks.
-    pub fn same_outcomes(&self, set: &StateSet, a: &Trace, b: &Trace) -> bool {
+    pub fn same_outcomes<'t>(
+        &self,
+        set: &BTreeSet<S::State>,
+        a: impl IntoIterator<Item = &'t S::Label>,
+        b: impl IntoIterator<Item = &'t S::Label>,
+    ) -> bool {
         self.after_trace(set, a) == self.after_trace(set, b)
     }
 
     /// Whether every outcome of `a` is an outcome of `b` from `set`
     /// (`S(a) ⊆ S(b)` in the Prop.-1 reading of "`b` can simulate `a`").
-    pub fn simulates(&self, set: &StateSet, a: &Trace, b: &Trace) -> bool {
+    pub fn simulates<'t>(
+        &self,
+        set: &BTreeSet<S::State>,
+        a: impl IntoIterator<Item = &'t S::Label>,
+        b: impl IntoIterator<Item = &'t S::Label>,
+    ) -> bool {
         self.after_trace(set, a)
             .is_subset(&self.after_trace(set, b))
+    }
+
+    /// Enumerates every state reachable from the initial state using the
+    /// given visible-label alphabet (with τ steps interleaved freely),
+    /// up to `max_states` states. Used by the exhaustive
+    /// `AFlush;Barrier ≡ RFlush` equivalence checks.
+    pub fn reachable_states(&self, alphabet: &[S::Label], max_states: usize) -> BTreeSet<S::State> {
+        let mut seen = self.initial_set();
+        let mut frontier: Vec<S::State> = seen.iter().cloned().collect();
+        'explore: while let Some(st) = frontier.pop() {
+            let singleton = BTreeSet::from([st]);
+            for label in alphabet {
+                for next in self.after_label(&singleton, label) {
+                    if seen.len() >= max_states {
+                        break 'explore;
+                    }
+                    if seen.insert(next.clone()) {
+                        frontier.push(next);
+                    }
+                }
+            }
+        }
+        seen
     }
 }
 

@@ -44,7 +44,7 @@ pub mod simulate;
 pub mod space;
 
 pub use asyncinterp::{AsyncExplorer, AsyncStateSet};
-pub use interp::{Explorer, StateSet};
+pub use interp::{Explorer, StateSet, StepSystem};
 pub use litmus::{Litmus, LitmusOutcome, SuiteReport, Verdict};
 pub use program::{outcomes, Instr, Outcome, Program, Reg};
 pub use refine::{check_refinement, incomparability_witnesses, Refinement};

@@ -1055,6 +1055,52 @@ mod tests {
     }
 
     #[test]
+    fn threads_without_an_announcement_slot_apply_solo() {
+        // 65 threads hold slot leases at once, so at least one has an
+        // index ≥ COMBINE_SLOTS; each such thread drives fresh fronts.
+        let threads = COMBINE_SLOTS + 1;
+        let gate = Arc::new(std::sync::Barrier::new(threads));
+        let solo = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (gate, solo) = (Arc::clone(&gate), Arc::clone(&solo));
+                std::thread::spawn(move || {
+                    let idx = thread_slot_index();
+                    gate.wait();
+                    if idx < COMBINE_SLOTS {
+                        return;
+                    }
+                    solo.fetch_add(1, Ordering::Relaxed);
+                    let (f, q, s) = setup(Arc::new(FlitCxl0::default()));
+                    let node = f.node(MachineId(0));
+                    let batches = || (q.stats().batches(), s.stats().batches());
+                    for v in 1..=3u64 {
+                        assert!(q.enqueue(&node, v).unwrap());
+                        assert!(s.push(&node, v).unwrap());
+                        assert_eq!(batches(), (v, v), "one batch per op");
+                    }
+                    assert_eq!(q.dequeue(&node).unwrap(), Some(1));
+                    assert_eq!(s.pop(&node).unwrap(), Some(3));
+                    assert_eq!(batches(), (4, 4), "one batch per op");
+                    // No op was announced: the boards' watermarks never moved.
+                    let announced = |b: &CombineBoard| b.watermark.load(Ordering::Acquire);
+                    assert_eq!((announced(&q.board), announced(&s.board)), (0, 0));
+                    f.crash(MachineId(2));
+                    f.recover(MachineId(2));
+                    q.recover(&node).unwrap();
+                    s.recover(&node).unwrap();
+                    assert_eq!(q.drain(&node).unwrap(), vec![2, 3]);
+                    assert_eq!(s.drain(&node).unwrap(), vec![2, 1]);
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(solo.load(Ordering::Relaxed) >= 1, "some thread overflowed");
+    }
+
+    #[test]
     fn churn_through_the_front_reuses_nodes() {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 256));
         let alloc = Arc::new(Allocator::over_region(
