@@ -14,23 +14,23 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use cxl0_model::{Loc, MachineId, SystemConfig};
-use cxl0_runtime::{FlitAsync, FlitCxl0, Persistence, SharedHeap, SimFabric};
+use cxl0_runtime::{Flit, FlushPolicy, Persistence, SharedHeap, SimFabric};
 
 const MEM: MachineId = MachineId(2);
 
 struct Rig {
     fabric: Arc<SimFabric>,
     cells: Vec<Loc>,
-    strategy: Arc<dyn Persistence>,
+    strategy: Flit,
 }
 
-fn rig(k: usize, make: impl FnOnce() -> (Arc<dyn Persistence>, Box<dyn Fn(Loc)>)) -> Rig {
+fn rig(k: usize, policy: FlushPolicy) -> Rig {
     let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 10));
     let heap = Arc::new(SharedHeap::new(fabric.config(), MEM));
     let cells: Vec<Loc> = (0..k).map(|_| heap.alloc(1).expect("heap fits")).collect();
-    let (strategy, raise) = make();
+    let strategy = Flit::new(policy);
     for &c in &cells {
-        raise(c);
+        strategy.raise_counter(c);
     }
     Rig {
         fabric,
@@ -51,25 +51,11 @@ fn bench_helping(c: &mut Criterion) {
     let mut group = c.benchmark_group("helped_reads_per_op");
     for k in [1usize, 4, 16] {
         group.throughput(Throughput::Elements(k as u64));
-        let sync_rig = rig(k, || {
-            let p = Arc::new(FlitCxl0::default());
-            let q = Arc::clone(&p);
-            (
-                p as Arc<dyn Persistence>,
-                Box::new(move |l| q.raise_counter(l)),
-            )
-        });
+        let sync_rig = rig(k, FlushPolicy::RemoteAlways);
         group.bench_with_input(BenchmarkId::new("flit-cxl0", k), &k, |b, _| {
             b.iter(|| helped_read_op(&sync_rig))
         });
-        let async_rig = rig(k, || {
-            let p = Arc::new(FlitAsync::default());
-            let q = Arc::clone(&p);
-            (
-                p as Arc<dyn Persistence>,
-                Box::new(move |l| q.raise_counter(l)),
-            )
-        });
+        let async_rig = rig(k, FlushPolicy::Async);
         group.bench_with_input(BenchmarkId::new("flit-async", k), &k, |b, _| {
             b.iter(|| helped_read_op(&async_rig))
         });

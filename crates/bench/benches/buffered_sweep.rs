@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use cxl0_model::{MachineId, SystemConfig};
 use cxl0_runtime::alloc::Allocator;
 use cxl0_runtime::{
-    BufferedEpoch, DurableMap, FlitCxl0, Persistence, SharedHeap, SimFabric, SmrDomain,
+    BufferedEpoch, DurableMap, Flit, FlushPolicy, Persistence, SharedHeap, SimFabric, SmrDomain,
 };
 use cxl0_workloads::{KeyDist, OpMix, Workload, WorkloadOp};
 
@@ -59,7 +59,7 @@ fn bench_buffered(c: &mut Criterion) {
     let mut group = c.benchmark_group("durability_strategies_map");
     group.throughput(Throughput::Elements(BATCH as u64));
 
-    let mut flit = rig(Arc::new(FlitCxl0::default()));
+    let mut flit = rig(Arc::new(Flit::new(FlushPolicy::RemoteAlways)));
     group.bench_function("flit-cxl0", |b| b.iter(|| run_batch(&mut flit)));
 
     for interval in [4usize, 64] {

@@ -8,17 +8,16 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cxl0_bench::{bench_allocator, bench_smr, MEM_NODE};
 use cxl0_model::MachineId;
 use cxl0_runtime::{
-    DurableMap, DurableQueue, FlitCxl0, FlitOwnerOpt, FlitX86, NaiveMStore, NoPersistence,
-    Persistence,
+    DurableMap, DurableQueue, Flit, FlushPolicy, NaiveMStore, NoPersistence, Persistence,
 };
 use cxl0_workloads::{KeyDist, OpMix, Workload, WorkloadOp};
 
 fn strategies() -> Vec<Arc<dyn Persistence>> {
     vec![
         Arc::new(NoPersistence),
-        Arc::new(FlitX86::default()),
-        Arc::new(FlitCxl0::default()),
-        Arc::new(FlitOwnerOpt::default()),
+        Arc::new(Flit::new(FlushPolicy::LocalAlways)),
+        Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
+        Arc::new(Flit::new(FlushPolicy::LocalWhenOwner)),
         Arc::new(NaiveMStore),
     ]
 }
@@ -72,7 +71,10 @@ fn queue_pairs(c: &mut Criterion) {
 fn counter_striping(c: &mut Criterion) {
     let mut group = c.benchmark_group("flit_counter_striping");
     for stripes in [1usize, 16, 256, 4096] {
-        let (fabric, smr) = bench_smr(1 << 20, Arc::new(FlitCxl0::new(stripes)));
+        let (fabric, smr) = bench_smr(
+            1 << 20,
+            Arc::new(Flit::with_stripes(FlushPolicy::RemoteAlways, stripes)),
+        );
         let node = fabric.node(MachineId(0));
         let map = DurableMap::create(&smr, &node, 4096).unwrap().unwrap();
         let mut w = Workload::new(KeyDist::uniform(1024), OpMix::update_heavy(), 13);

@@ -176,10 +176,12 @@ impl Front {
             Front::Stack => Arc::new(session.create_stack::<u64>(name).expect(fits)),
             Front::List => Arc::new(session.create_list::<u64>(name).expect(fits)),
             Front::CombinedQueue => {
-                Arc::new(session.create_queue_combined::<u64>(name).expect(fits))
+                let queue = session.create_queue::<u64>(name).expect(fits);
+                Arc::new(session.combined(queue))
             }
             Front::CombinedStack => {
-                Arc::new(session.create_stack_combined::<u64>(name).expect(fits))
+                let stack = session.create_stack::<u64>(name).expect(fits);
+                Arc::new(session.combined(stack))
             }
         }
     }

@@ -745,7 +745,6 @@ impl Allocator {
             Ok(_) => self.slots.release(slot),
         }
         if matches!(outcome, Ok(FreeOutcome::Done)) {
-            node.observe(|o| o.on_free(payload));
             self.frees.fetch_add(1, Ordering::Relaxed);
             let cells = u64::from(class_cells(class as usize));
             let _ = self
@@ -798,6 +797,12 @@ impl Allocator {
                 .private_store(node, self.intent_cell(slot), 0, true)?;
             return Ok(FreeOutcome::Refused(FreeError::DoubleFree));
         }
+        // The claim is the free's linearization point. Observers hear of
+        // it now, before the push below makes the block poppable: told
+        // any later, a concurrent pop could hand the block out (and
+        // report its alloc) first, and the late free would mark a live
+        // block freed.
+        node.observe(|o| o.on_free(payload));
         if stop == Some(TornFree::Claimed) {
             return Ok(FreeOutcome::Torn);
         }
@@ -1062,12 +1067,12 @@ impl Allocator {
 mod tests {
     use super::*;
     use crate::backend::SimFabric;
-    use crate::flit::FlitCxl0;
+    use crate::flit::{Flit, FlushPolicy};
     use cxl0_model::SystemConfig;
 
     fn setup(cells: u32) -> (Arc<SimFabric>, Arc<Allocator>) {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(2, cells));
-        let persist: Arc<dyn Persistence> = Arc::new(FlitCxl0::default());
+        let persist: Arc<dyn Persistence> = Arc::new(Flit::new(FlushPolicy::RemoteAlways));
         let a = Arc::new(Allocator::over_region(f.config(), MachineId(1), persist));
         (f, a)
     }

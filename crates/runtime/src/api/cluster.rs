@@ -18,8 +18,7 @@ use crate::buffered::BufferedEpoch;
 use crate::check::{CheckConfig, Checker};
 use crate::cost::CostModel;
 use crate::ds::combine::{Combinable, CombineBoard, CombineStats, Combined};
-use crate::flit::{FlitCxl0, FlitOwnerOpt, FlitX86, NaiveMStore, NoPersistence, Persistence};
-use crate::flit_async::FlitAsync;
+use crate::flit::{Flit, FlushPolicy, NaiveMStore, NoPersistence, Persistence};
 use crate::heap::SharedHeap;
 use crate::observe::Observer;
 use crate::smr::SmrDomain;
@@ -244,7 +243,7 @@ impl ClusterBuilder {
         // wins; otherwise `CXL0_SANITIZE=1` arms a mode-derived
         // configuration: durability races only under strict modes
         // (buffered modes legally persist out of publication order),
-        // fail-fast except under the deliberately unsound FlitX86.
+        // fail-fast except under the deliberately unsound flit-x86.
         let check_cfg = self.checker.or_else(|| {
             std::env::var("CXL0_SANITIZE")
                 .ok()
@@ -287,10 +286,10 @@ impl ClusterBuilder {
 
         let mut buffered = Option::None;
         let persist: Arc<dyn Persistence> = match self.mode {
-            PersistMode::FlitCxl0 => Arc::new(FlitCxl0::default()),
-            PersistMode::OwnerOpt => Arc::new(FlitOwnerOpt::default()),
-            PersistMode::FlitX86 => Arc::new(FlitX86::default()),
-            PersistMode::FlitAsync => Arc::new(FlitAsync::default()),
+            PersistMode::FlitCxl0 => Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
+            PersistMode::OwnerOpt => Arc::new(Flit::new(FlushPolicy::LocalWhenOwner)),
+            PersistMode::FlitX86 => Arc::new(Flit::new(FlushPolicy::LocalAlways)),
+            PersistMode::FlitAsync => Arc::new(Flit::new(FlushPolicy::Async)),
             PersistMode::NaiveMStore => Arc::new(NaiveMStore),
             PersistMode::None => Arc::new(NoPersistence),
             PersistMode::Buffered {
@@ -526,19 +525,6 @@ impl Cluster {
         snap.smr_advances = smr.advances;
         snap.smr_epoch = smr.epoch;
         snap.smr_limbo = smr.limbo;
-        if let Some(ck) = &self.checker {
-            snap.check_durability_races = ck.durability_races();
-            snap.check_unpersisted_reads = ck.unpersisted_reads();
-            snap.check_use_after_retire = ck.use_after_retire();
-        }
-        if let Some(tr) = &self.tracer {
-            snap.trace_events = tr.events_recorded();
-            snap.trace_dropped = tr.events_dropped();
-            let h = tr.merged_histogram();
-            snap.trace_p50_sim_ns = h.p50();
-            snap.trace_p99_sim_ns = h.p99();
-            snap.trace_p999_sim_ns = h.p999();
-        }
         snap
     }
 

@@ -14,8 +14,8 @@ use crate::api::registry::{truncate_type_tag, RootInfo, RootKind, RootRecord};
 use crate::api::word::Word;
 use crate::backend::{AsNode, NodeHandle, StatsSnapshot};
 use crate::ds::{
-    CombinedQueue, CombinedStack, DurableCounter, DurableList, DurableLog, DurableMap,
-    DurableQueue, DurableRegister, DurableStack,
+    Combinable, Combined, DurableCounter, DurableList, DurableLog, DurableMap, DurableQueue,
+    DurableRegister, DurableStack,
 };
 use crate::flit::Persistence;
 use crate::heap::SharedHeap;
@@ -366,52 +366,30 @@ impl Session {
         ))
     }
 
-    /// Creates a durable queue under `name` and wraps it in the
-    /// cluster's shared combining front ([`crate::ds::combine`]): all
-    /// mutations go through per-thread announcement slots and an
-    /// elected combiner that batches the ops' persistence. Orthogonal to
-    /// the cluster's `PersistMode`; the structure itself (and its
-    /// recovery) is a plain [`DurableQueue`].
+    /// Wraps a queue or stack of this cluster in the cluster's shared
+    /// combining front ([`crate::ds::combine`]): all mutations go through
+    /// per-thread announcement slots and an elected combiner that
+    /// batches the ops' persistence, and stack fronts also annihilate
+    /// concurrent push/pop pairs by elimination. Every handle of one
+    /// structure, across sessions and machines, shares one announcement
+    /// board. Orthogonal to the cluster's `PersistMode`; the structure
+    /// itself, and its recovery, stays plain. Call the front's `recover`
+    /// after reattaching post-crash.
     ///
-    /// # Errors
+    /// ```
+    /// use cxl0_runtime::api::Cluster;
+    /// use cxl0_model::MachineId;
     ///
-    /// As [`Session::create_register`].
-    pub fn create_queue_combined<T: Word>(&self, name: &str) -> ApiResult<CombinedQueue<T>> {
-        Ok(self.cluster.combined(self.create_queue(name)?))
-    }
-
-    /// Reattaches to the queue committed under `name`, behind the
-    /// cluster's shared combining front. Call
-    /// [`CombinedQueue::recover`](crate::ds::CombinedQueue) afterwards
-    /// when reattaching post-crash.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::open_register`].
-    pub fn open_queue_combined<T: Word>(&self, name: &str) -> ApiResult<CombinedQueue<T>> {
-        Ok(self.cluster.combined(self.open_queue(name)?))
-    }
-
-    /// Creates a durable stack under `name` behind the cluster's shared
-    /// combining front (see [`Session::create_queue_combined`]); stack
-    /// fronts additionally annihilate concurrent push/pop pairs by
-    /// elimination.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::create_register`].
-    pub fn create_stack_combined<T: Word>(&self, name: &str) -> ApiResult<CombinedStack<T>> {
-        Ok(self.cluster.combined(self.create_stack(name)?))
-    }
-
-    /// Reattaches to the stack committed under `name`, behind the
-    /// cluster's shared combining front.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::open_register`].
-    pub fn open_stack_combined<T: Word>(&self, name: &str) -> ApiResult<CombinedStack<T>> {
-        Ok(self.cluster.combined(self.open_stack(name)?))
+    /// let cluster = Cluster::symmetric(2, 4096)?;
+    /// let session = cluster.session(MachineId(0));
+    /// let q = session.combined(session.create_queue::<u64>("jobs")?);
+    /// q.enqueue(&session, 7)?;
+    /// let q = session.combined(session.open_queue::<u64>("jobs")?);
+    /// assert_eq!(q.dequeue(&session)?, Some(7));
+    /// # Ok::<(), cxl0_runtime::api::ApiError>(())
+    /// ```
+    pub fn combined<S: Combinable>(&self, inner: S) -> Combined<S> {
+        self.cluster.combined(inner)
     }
 
     /// Creates and registers a durable hash map with `capacity` slots

@@ -442,37 +442,6 @@ pub struct StatsSnapshot {
     /// Reclamation-domain gauge: blocks currently in limbo (see
     /// [`StatsSnapshot::smr_epoch`]).
     pub smr_limbo: u64,
-    /// Persistency sanitizer: durability races detected. Zero in
-    /// raw-fabric snapshots and when no checker is installed; populated
-    /// by the cluster layer from the sanitizer's ([`crate::check`])
-    /// counters. A *gauge* for [`StatsSnapshot::since`] purposes: the
-    /// running total is what you want to assert on.
-    pub check_durability_races: u64,
-    /// Persistency sanitizer: unpersisted-read-at-recovery violations
-    /// detected (see [`StatsSnapshot::check_durability_races`]).
-    pub check_unpersisted_reads: u64,
-    /// Persistency sanitizer: use-after-retire violations detected (see
-    /// [`StatsSnapshot::check_durability_races`]).
-    pub check_use_after_retire: u64,
-    /// Runtime tracer: events recorded so far. Zero in raw-fabric
-    /// snapshots and when no tracer is installed; populated by the
-    /// cluster layer. A *gauge* for [`StatsSnapshot::since`] purposes
-    /// (the running total is what you want to assert on), like the
-    /// sanitizer counters.
-    pub trace_events: u64,
-    /// Runtime tracer: events lost to ring wraps or the crash-retired
-    /// cap (see [`StatsSnapshot::trace_events`]).
-    pub trace_dropped: u64,
-    /// Runtime tracer gauge: p50 op latency in simulated nanoseconds,
-    /// merged over every thread and op kind (upper bucket edge of the
-    /// log2 histogram; see [`crate::trace::LatencyHistogram`]).
-    pub trace_p50_sim_ns: u64,
-    /// Runtime tracer gauge: p99 op latency (see
-    /// [`StatsSnapshot::trace_p50_sim_ns`]).
-    pub trace_p99_sim_ns: u64,
-    /// Runtime tracer gauge: p99.9 op latency (see
-    /// [`StatsSnapshot::trace_p50_sim_ns`]).
-    pub trace_p999_sim_ns: u64,
 }
 
 impl StatsSnapshot {
@@ -532,14 +501,6 @@ impl StatsSnapshot {
             smr_advances: self.smr_advances - earlier.smr_advances,
             smr_epoch: self.smr_epoch,
             smr_limbo: self.smr_limbo,
-            check_durability_races: self.check_durability_races,
-            check_unpersisted_reads: self.check_unpersisted_reads,
-            check_use_after_retire: self.check_use_after_retire,
-            trace_events: self.trace_events,
-            trace_dropped: self.trace_dropped,
-            trace_p50_sim_ns: self.trace_p50_sim_ns,
-            trace_p99_sim_ns: self.trace_p99_sim_ns,
-            trace_p999_sim_ns: self.trace_p999_sim_ns,
         }
     }
 }
@@ -715,7 +676,7 @@ const PENDING_SHARDS: usize = 8;
 /// — no per-entry node allocation, and `clear()` retains capacity so the
 /// steady state allocates nothing at all. The `nonempty` bitmask (bit
 /// per shard) lets `Barrier` visit only occupied shards, so the
-/// barrier-per-store pattern (`FlitAsync`) pays one shard lock, and an
+/// barrier-per-store pattern (`flit-async`) pays one shard lock, and an
 /// empty barrier pays none.
 #[derive(Debug)]
 struct PendingBuf {
@@ -869,6 +830,16 @@ impl SimFabric {
         if !observers.is_empty() {
             let _ = self.observers.set(observers.into_boxed_slice());
         }
+    }
+
+    /// Marks `m` crashed at once, without the stop-the-world drain, so a
+    /// test can fail the *next* primitive of a sequence from inside an
+    /// observer hook (where [`SimFabric::crash`] would wait on the hook's
+    /// own operation). Follow with `crash(m)` to apply the crash.
+    #[cfg(test)]
+    pub(crate) fn fail_machine(&self, m: MachineId) {
+        let bit = 1u64 << m.index();
+        self.crash_word.crashed.fetch_or(bit, Ordering::SeqCst);
     }
 
     /// Tells every installed observer of an event (a single `OnceLock`

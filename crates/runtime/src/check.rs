@@ -39,8 +39,9 @@
 //!   reached the owner's memory, the crash destroyed the only cached
 //!   copy, and recovery then read the stale cell. This is exactly the §6
 //!   unsoundness of the unadapted x86 FliT
-//!   ([`FlitX86`](crate::FlitX86)): a local flush by a non-owner only
-//!   moves the line to the owner's cache. Sound modes never trip it.
+//!   ([`FlushPolicy::LocalAlways`](crate::FlushPolicy::LocalAlways)): a
+//!   local flush by a non-owner only moves the line to the owner's
+//!   cache. Sound modes never trip it.
 //! * [`ViolationClass::UseAfterRetire`] — a thread touches a block after
 //!   [`SmrGuard::retire`](crate::smr::SmrGuard::retire) without being
 //!   pinned in a protecting epoch, or touches a *reclaimed* block while
@@ -54,8 +55,9 @@
 //! [`ClusterBuilder::with_checker`](crate::api::ClusterBuilder::with_checker),
 //! or globally with `CXL0_SANITIZE=1` in the environment (as CI's
 //! `sanitize` job does), which additionally panics on the first violation
-//! in sound persist modes. Violation counts surface in
-//! [`StatsSnapshot`](crate::StatsSnapshot); full reports via
+//! in sound persist modes. Read the violation counts from
+//! [`Cluster::checker`](crate::api::Cluster::checker) (e.g.
+//! [`Checker::durability_races`]); full reports via
 //! [`Checker::violations`]. See `docs/SANITIZER.md` for the recipe.
 //!
 //! ## Precision notes
@@ -796,7 +798,7 @@ mod tests {
     #[test]
     fn lost_ack_fires_on_recovery_read() {
         let ck = checker();
-        // Store settles into machine 1's cache only (the FlitX86 shape).
+        // Store settles into machine 1's cache only (the flit-x86 shape).
         ck.on_mutate(Some((M, 0)), loc(5), (1 << 1, 7, 0));
         ck.on_persist_ack(loc(5));
         // Crash machine 1; its memory is NVM (not zeroed).

@@ -243,7 +243,7 @@ impl<T: Word> DurableLog<T> {
 mod tests {
     use super::*;
     use crate::backend::SimFabric;
-    use crate::flit::{FlitCxl0, FlitX86};
+    use crate::flit::{Flit, FlushPolicy};
     use cxl0_model::{MachineId, SystemConfig};
 
     const MEM: MachineId = MachineId(2);
@@ -251,7 +251,8 @@ mod tests {
     fn setup() -> (Arc<SimFabric>, DurableLog) {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 256));
         let heap = SharedHeap::new(f.config(), MEM);
-        let log = DurableLog::create(&heap, 64, Arc::new(FlitCxl0::default())).unwrap();
+        let log =
+            DurableLog::create(&heap, 64, Arc::new(Flit::new(FlushPolicy::RemoteAlways))).unwrap();
         (f, log)
     }
 
@@ -273,7 +274,8 @@ mod tests {
     fn full_log_rejects_appends() {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 8));
         let heap = SharedHeap::new(f.config(), MachineId(1));
-        let log = DurableLog::create(&heap, 2, Arc::new(FlitCxl0::default())).unwrap();
+        let log =
+            DurableLog::create(&heap, 2, Arc::new(Flit::new(FlushPolicy::RemoteAlways))).unwrap();
         let node = f.node(MachineId(0));
         assert_eq!(log.append(&node, 1).unwrap(), Some(0));
         assert_eq!(log.append(&node, 2).unwrap(), Some(1));
@@ -323,7 +325,8 @@ mod tests {
     fn unsound_strategy_loses_committed_entries() {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 256));
         let heap = SharedHeap::new(f.config(), MEM);
-        let log = DurableLog::create(&heap, 16, Arc::new(FlitX86::default())).unwrap();
+        let log =
+            DurableLog::create(&heap, 16, Arc::new(Flit::new(FlushPolicy::LocalAlways))).unwrap();
         let node = f.node(MachineId(0));
         log.append(&node, 5).unwrap();
         f.crash(MEM);

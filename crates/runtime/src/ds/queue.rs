@@ -392,7 +392,7 @@ impl<T: Word> DurableQueue<T> {
 mod tests {
     use super::*;
     use crate::backend::SimFabric;
-    use crate::flit::FlitCxl0;
+    use crate::flit::{Flit, FlushPolicy};
     use cxl0_model::{MachineId, SystemConfig};
 
     fn setup() -> (Arc<SimFabric>, DurableQueue) {
@@ -400,7 +400,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(2),
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
         ));
         let q = DurableQueue::create(&alloc, &f.node(MachineId(0)))
             .unwrap()
@@ -425,7 +425,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(1),
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
         ));
         let node = f.node(MachineId(0));
         let q: DurableQueue<i64> = DurableQueue::create(&alloc, &node).unwrap().unwrap();
@@ -442,7 +442,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(1),
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
         ));
         let node = f.node(MachineId(0));
         let q: DurableQueue = DurableQueue::create(&alloc, &node).unwrap().unwrap();
@@ -538,7 +538,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(2),
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
         ));
         let q: DurableQueue = DurableQueue::create(&alloc, &f.node(MachineId(0)))
             .unwrap()
@@ -592,7 +592,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(2),
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
         ));
         let node = f.node(MachineId(0));
         let q: DurableQueue = DurableQueue::create(&alloc, &node).unwrap().unwrap();

@@ -279,7 +279,7 @@ impl<T: Word> DurableStack<T> {
 mod tests {
     use super::*;
     use crate::backend::SimFabric;
-    use crate::flit::FlitCxl0;
+    use crate::flit::{Flit, FlushPolicy};
     use cxl0_model::{MachineId, SystemConfig};
     use std::collections::HashSet;
 
@@ -288,7 +288,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(2),
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
         ));
         let s = DurableStack::create(&alloc, &f.node(MachineId(0)))
             .unwrap()
@@ -353,7 +353,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(1),
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
         ));
         let node = f.node(MachineId(0));
         let s: DurableStack = DurableStack::create(&alloc, &node).unwrap().unwrap();
@@ -370,7 +370,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(0),
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
         ));
         let node = f.node(MachineId(0));
         let s: DurableStack = DurableStack::create(&alloc, &node).unwrap().unwrap();

@@ -1,21 +1,29 @@
-//! The FliT transformation for CXL0 (§6, Algorithm 2), its ancestors and
-//! its ablations, all behind one [`Persistence`] trait so that the same
-//! data-structure code can run under any of them:
+//! The FliT transformation (§6) and its two baselines, all behind one
+//! [`Persistence`] trait so that the same data-structure code can run
+//! under any of them.
 //!
-//! | Strategy | Stores | Flush | Durably linearizable under CXL0? |
+//! [`Flit`] is the transformation: per-cell FliT counters plus a
+//! [`FlushPolicy`] that decides which flush it issues and where it
+//! fences. Algorithm 2 (CXL0) and Algorithm 1 (the original, run on the
+//! §3.2 `CXL0_AF` extension) are the same algorithm under two policies:
+//!
+//! | Policy | Flagged write persists by | Help flush | Durably linearizable under CXL0? |
 //! |---|---|---|---|
-//! | [`FlitCxl0`] | `LStore` | `RFlush` | **yes** (Alg. 2, proven in §B) |
-//! | [`FlitOwnerOpt`] | `LStore` | `LFlush` if issuer owns the line, else `RFlush` | yes (§6.1 optimisation) |
-//! | [`FlitX86`] | `LStore` | `LFlush` | **no** — the original full-system-crash FliT (Alg. 1) ported naively; its flush only reaches the owner's *cache* |
-//! | [`NaiveMStore`] | `MStore` | none needed | yes, but slower (§6.1) |
-//! | [`NoPersistence`] | `LStore` | none | no — plain linearizable object |
+//! | [`RemoteAlways`](FlushPolicy::RemoteAlways) | `RFlush` | `RFlush` | **yes** (Alg. 2, proven in §B) |
+//! | [`LocalWhenOwner`](FlushPolicy::LocalWhenOwner) | `LFlush` if the issuer owns the line, else `RFlush` | same | yes (§6.1 optimisation) |
+//! | [`LocalAlways`](FlushPolicy::LocalAlways) | `LFlush` | `LFlush` | **no** — Alg. 1's x86 flush ported naively; it only reaches the owner's *cache* |
+//! | [`Async`](FlushPolicy::Async) | `AFlush` + `Barrier`, after a leading `Barrier` | `AFlush`, retired by `completeOp`'s `Barrier` | yes (Alg. 1 on `CXL0_AF`) |
+//!
+//! The baselines: [`NaiveMStore`] makes every flagged store an `MStore`
+//! (correct, no flushes, slower — §6.1) and [`NoPersistence`] is a plain
+//! linearizable object.
 //!
 //! The per-cell *FliT counter* signals to readers that a store to the cell
 //! may be globally visible but not yet persistent; a reader seeing a
 //! positive counter helps by flushing before returning (Alg. 2 lines
-//! 41–45). Counters are volatile metadata kept in a striped table
-//! ([`FlitTable`]); a counter left positive by a crashed writer merely
-//! causes conservative extra flushes, never a correctness loss.
+//! 41–45). Counters are volatile metadata kept in a striped table; a
+//! counter left positive by a crashed writer merely causes conservative
+//! extra flushes, never a correctness loss.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +40,7 @@ use crate::error::OpResult;
 /// flushes) for memory — the ablation benchmark `flit_overhead` measures
 /// that tradeoff.
 #[derive(Debug)]
-pub struct FlitTable {
+struct FlitTable {
     counters: Vec<AtomicU64>,
     mask: usize,
 }
@@ -44,7 +52,7 @@ impl FlitTable {
     /// # Panics
     ///
     /// Panics if `stripes` is zero.
-    pub fn new(stripes: usize) -> Self {
+    fn new(stripes: usize) -> Self {
         assert!(stripes > 0, "need at least one stripe");
         let n = stripes.next_power_of_two();
         FlitTable {
@@ -62,22 +70,23 @@ impl FlitTable {
     }
 
     /// Increment the counter for `loc` (a store is in flight).
-    pub fn enter(&self, loc: Loc) {
+    fn enter(&self, loc: Loc) {
         self.slot(loc).fetch_add(1, Ordering::SeqCst);
     }
 
     /// Decrement the counter for `loc` (the store has persisted).
-    pub fn exit(&self, loc: Loc) {
+    fn exit(&self, loc: Loc) {
         self.slot(loc).fetch_sub(1, Ordering::SeqCst);
     }
 
     /// True if a store to `loc` (or a stripe-mate) may be unpersisted.
-    pub fn in_flight(&self, loc: Loc) -> bool {
+    fn in_flight(&self, loc: Loc) -> bool {
         self.slot(loc).load(Ordering::SeqCst) > 0
     }
 
     /// Number of stripes.
-    pub fn stripes(&self) -> usize {
+    #[cfg(test)]
+    fn stripes(&self) -> usize {
         self.counters.len()
     }
 }
@@ -91,8 +100,8 @@ impl FlitTable {
 ///
 /// **Ack discipline.** A strategy must raise the persist-ack event
 /// (`node.observe(|o| o.on_persist_ack(loc))`) at the exact point a
-/// flagged store/RMW becomes durable (after the `RFlush` here, after the
-/// trailing `Barrier` in [`FlitAsync`](crate::flit_async::FlitAsync)):
+/// flagged store/RMW becomes durable (in [`Flit`], after the flush or,
+/// under [`FlushPolicy::Async`], after the trailing `Barrier`):
 /// the persistency sanitizer ([`crate::check`]) treats the ack as the
 /// durability claim it audits, and the tracer ([`crate::trace`]) counts
 /// acks into each op span's persist amplification. Strategies that make
@@ -154,8 +163,8 @@ pub trait Persistence: Send + Sync + fmt::Debug {
     fn shared_faa(&self, node: &NodeHandle, loc: Loc, delta: u64, pflag: bool) -> OpResult<u64>;
 
     /// `completeOp` (Alg. 2 line 55): a barrier at the end of every
-    /// high-level operation. Empty for the CXL0 transformation
-    /// (synchronous flushes); kept for interface fidelity.
+    /// high-level operation. A `Barrier` under [`FlushPolicy::Async`];
+    /// empty for the synchronous flushes.
     ///
     /// # Errors
     ///
@@ -220,70 +229,205 @@ pub trait Persistence: Send + Sync + fmt::Debug {
     }
 }
 
-/// How a strategy flushes a just-written line.
+/// Which flush a [`Flit`] issues and where it fences (see the [module
+/// docs](self) for the table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushPolicy {
-    /// `RFlush` always (Alg. 2).
+pub enum FlushPolicy {
+    /// `RFlush` always: Algorithm 2, FliT adapted to CXL0.
     RemoteAlways,
-    /// `LFlush` when the issuer owns the line, `RFlush` otherwise (§6.1).
+    /// `LFlush` when the issuer owns the line (an owner's `LFlush`
+    /// already reaches memory), `RFlush` otherwise: the §6.1
+    /// optimisation.
     LocalWhenOwner,
-    /// `LFlush` always (the x86 FliT ported without adaptation — unsound
-    /// under partial crashes).
+    /// `LFlush` always: Algorithm 1's x86 `CLFLUSHOPT` ported without
+    /// adaptation. **Deliberately unsound** under partial crashes — under
+    /// CXL0 a non-owner's `LFlush` only reaches the owner's cache — and
+    /// kept as the §6 motivating example.
     LocalAlways,
+    /// Algorithm 1 on the `CXL0_AF` extension: a flagged write persists
+    /// by `AFlush` + `Barrier` after a leading `Barrier`, a reader's help
+    /// is an `AFlush` that retires under the `Barrier` in `completeOp`.
+    ///
+    /// | Algorithm 1 (x86) | `CXL0_AF` |
+    /// |---|---|
+    /// | `FENCE()` at `shared_store` entry | leading `Barrier` |
+    /// | `Store` | `LStore` |
+    /// | `Flush` (`CLFLUSHOPT`) | `AFlush` |
+    /// | `MFENCE()` after the flush | trailing `Barrier` |
+    /// | helping `Flush` in `shared_load` (no fence) | helping `AFlush` (no barrier) |
+    /// | `completeOp`: `MFENCE()` | `completeOp`: `Barrier` |
+    ///
+    /// Stores still persist before they return, so per-thread
+    /// persistence stays prefix-ordered: a crash never persists a later
+    /// store of an operation without an earlier one. Only a reader's
+    /// help is deferred; it protects another thread's store, whose writer
+    /// still guarantees it, and must only persist before the reader's
+    /// own operation completes (P-V conditions 3 and 4). Where it wins:
+    /// read-heavy contended workloads, where a helped read pays a buffer
+    /// enqueue instead of a synchronous remote flush.
+    Async,
 }
 
-fn flush_with(policy: FlushPolicy, node: &NodeHandle, loc: Loc) -> OpResult<()> {
-    match policy {
-        FlushPolicy::RemoteAlways => node.rflush(loc),
-        FlushPolicy::LocalWhenOwner => {
-            if node.machine() == loc.owner {
-                node.lflush(loc)
-            } else {
-                node.rflush(loc)
-            }
+/// The FliT transformation under a [`FlushPolicy`]: a striped table of
+/// FliT counters that readers consult, and flagged writes that persist
+/// before they return.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use cxl0_runtime::{DurableQueue, Flit, FlushPolicy, Persistence, SimFabric};
+/// use cxl0_runtime::alloc::Allocator;
+/// use cxl0_model::{SystemConfig, MachineId};
+///
+/// let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 1024));
+/// let persist: Arc<dyn Persistence> = Arc::new(Flit::new(FlushPolicy::Async));
+/// let alloc = Arc::new(Allocator::over_region(fabric.config(), MachineId(2), persist));
+/// let node = fabric.node(MachineId(0));
+/// let queue = DurableQueue::create(&alloc, &node)?.unwrap();
+/// queue.enqueue(&node, 7)?;
+///
+/// fabric.crash(MachineId(2));
+/// fabric.recover(MachineId(2));
+/// queue.recover(&node)?;
+/// assert_eq!(queue.dequeue(&node)?, Some(7));
+/// # Ok::<(), cxl0_runtime::Crashed>(())
+/// ```
+#[derive(Debug)]
+pub struct Flit {
+    table: FlitTable,
+    policy: FlushPolicy,
+}
+
+impl Flit {
+    /// Creates the transformation with a 1024-stripe counter table.
+    pub fn new(policy: FlushPolicy) -> Self {
+        Flit::with_stripes(policy, 1024)
+    }
+
+    /// Creates the transformation with a counter table of `stripes`
+    /// (rounded up to a power of two).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stripes` is zero.
+    pub fn with_stripes(policy: FlushPolicy, stripes: usize) -> Self {
+        Flit {
+            table: FlitTable::new(stripes),
+            policy,
         }
-        FlushPolicy::LocalAlways => node.lflush(loc),
+    }
+
+    /// Testing hook: raises the FliT counter for `loc` as an in-flight
+    /// writer would.
+    #[doc(hidden)]
+    pub fn raise_counter(&self, loc: Loc) {
+        self.table.enter(loc);
+    }
+
+    /// Testing hook: lowers the FliT counter for `loc`.
+    #[doc(hidden)]
+    pub fn lower_counter(&self, loc: Loc) {
+        self.table.exit(loc);
+    }
+
+    /// The flush a reader issues for a line whose counter is raised.
+    fn help(&self, node: &NodeHandle, loc: Loc) -> OpResult<()> {
+        match self.policy {
+            FlushPolicy::RemoteAlways => node.rflush(loc),
+            FlushPolicy::LocalWhenOwner if node.machine() == loc.owner => node.lflush(loc),
+            FlushPolicy::LocalWhenOwner => node.rflush(loc),
+            FlushPolicy::LocalAlways => node.lflush(loc),
+            // Help, but do not wait: the write-back retires under this
+            // operation's completeOp barrier (Alg. 1 lines 12–15).
+            FlushPolicy::Async => node.aflush(loc),
+        }
+    }
+
+    /// The `Barrier` of the `Async` policy; nothing otherwise.
+    fn fence(&self, node: &NodeHandle) -> OpResult<()> {
+        if self.policy == FlushPolicy::Async {
+            node.barrier()?;
+        }
+        Ok(())
+    }
+
+    /// Persists a just-written line before returning: the help flush,
+    /// then (`Async`) the barrier that waits for it (Alg. 1 line 23).
+    fn persist(&self, node: &NodeHandle, loc: Loc) -> OpResult<()> {
+        self.help(node, loc)?;
+        self.fence(node)
+    }
+
+    /// A flagged write or RMW of `loc`: `write` runs with the counter
+    /// raised and its line is persisted before the counter drops. The
+    /// persist is acknowledged when `acks` holds for the result.
+    ///
+    /// Two rules, one for every policy:
+    /// - *A failed write leaves the counter raised.* If the issuer
+    ///   crashes mid-write, the counter is never lowered: the line may
+    ///   hold a visible, unpersisted value, and a leaked counter only
+    ///   adds helper flushes, never loses safety.
+    /// - *Only a write that installed its value is acknowledged.* A
+    ///   failed CAS acted as a p-load: it still persists the value it
+    ///   observed (condition 3 of the P-V interface), but claims no
+    ///   durability of its own.
+    fn flagged<T>(
+        &self,
+        node: &NodeHandle,
+        loc: Loc,
+        write: impl FnOnce() -> OpResult<T>,
+        acks: fn(&T) -> bool,
+    ) -> OpResult<T> {
+        // Alg. 1 line 18: prior (helping) flushes complete before the
+        // write becomes visible, so its dependencies persist first.
+        self.fence(node)?;
+        self.table.enter(loc);
+        let r = write()?;
+        self.persist(node, loc)?;
+        if acks(&r) {
+            // The strategy now considers `loc` persisted: the checker
+            // compares that belief against the shadow cell state.
+            node.observe(|o| o.on_persist_ack(loc));
+        }
+        self.table.exit(loc);
+        Ok(r)
     }
 }
 
-/// Shared implementation of the three FliT-shaped strategies.
-#[derive(Debug)]
-struct FlitCore {
-    table: FlitTable,
-    policy: FlushPolicy,
-    name: &'static str,
-}
+impl Persistence for Flit {
+    fn name(&self) -> &'static str {
+        match self.policy {
+            FlushPolicy::RemoteAlways => "flit-cxl0",
+            FlushPolicy::LocalWhenOwner => "flit-owner-opt",
+            FlushPolicy::LocalAlways => "flit-x86",
+            FlushPolicy::Async => "flit-async",
+        }
+    }
 
-impl FlitCore {
     fn shared_load(&self, node: &NodeHandle, loc: Loc, pflag: bool) -> OpResult<u64> {
         let val = node.load(loc)?;
         if pflag && self.table.in_flight(loc) {
-            flush_with(self.policy, node, loc)?;
+            self.help(node, loc)?;
         }
         Ok(val)
     }
 
     fn shared_store(&self, node: &NodeHandle, loc: Loc, v: u64, pflag: bool) -> OpResult<()> {
-        if pflag {
-            self.table.enter(loc);
-            let result = node.lstore(loc, v).and_then(|()| {
-                flush_with(self.policy, node, loc)?;
-                // The strategy now considers `loc` persisted: the checker
-                // compares that belief against the shadow cell state.
-                node.observe(|o| o.on_persist_ack(loc));
-                Ok(())
-            });
-            self.table.exit(loc);
-            result
-        } else {
-            node.lstore(loc, v)
+        if !pflag {
+            return node.lstore(loc, v);
         }
+        self.flagged(node, loc, || node.lstore(loc, v), |_| true)
+    }
+
+    fn private_load(&self, node: &NodeHandle, loc: Loc) -> OpResult<u64> {
+        node.load(loc)
     }
 
     fn private_store(&self, node: &NodeHandle, loc: Loc, v: u64, pflag: bool) -> OpResult<()> {
         node.lstore(loc, v)?;
         if pflag {
-            flush_with(self.policy, node, loc)?;
+            self.persist(node, loc)?;
             node.observe(|o| o.on_persist_ack(loc));
         }
         Ok(())
@@ -300,180 +444,28 @@ impl FlitCore {
         if !pflag {
             return node.cas(StoreKind::Local, loc, old, new);
         }
-        self.table.enter(loc);
-        let result = node.cas(StoreKind::Local, loc, old, new).and_then(|r| {
-            // Success: persist the installed value. Failure: the CAS acted
-            // as a p-load; help persist the observed value like a
-            // shared_load would (condition 3 of the P-V interface).
-            flush_with(self.policy, node, loc)?;
-            if r.is_ok() {
-                node.observe(|o| o.on_persist_ack(loc));
-            }
-            Ok(r)
-        });
-        self.table.exit(loc);
-        result
+        let cas = || node.cas(StoreKind::Local, loc, old, new);
+        self.flagged(node, loc, cas, Result::is_ok)
     }
 
     fn shared_faa(&self, node: &NodeHandle, loc: Loc, delta: u64, pflag: bool) -> OpResult<u64> {
         if !pflag {
             return node.faa(StoreKind::Local, loc, delta);
         }
-        self.table.enter(loc);
-        let result = node.faa(StoreKind::Local, loc, delta).and_then(|old| {
-            flush_with(self.policy, node, loc)?;
-            node.observe(|o| o.on_persist_ack(loc));
-            Ok(old)
-        });
-        self.table.exit(loc);
-        result
-    }
-}
-
-macro_rules! delegate_to_core {
-    () => {
-        fn name(&self) -> &'static str {
-            self.core.name
-        }
-        fn shared_load(&self, node: &NodeHandle, loc: Loc, pflag: bool) -> OpResult<u64> {
-            self.core.shared_load(node, loc, pflag)
-        }
-        fn shared_store(&self, node: &NodeHandle, loc: Loc, v: u64, pflag: bool) -> OpResult<()> {
-            self.core.shared_store(node, loc, v, pflag)
-        }
-        fn private_load(&self, node: &NodeHandle, loc: Loc) -> OpResult<u64> {
-            node.load(loc)
-        }
-        fn private_store(&self, node: &NodeHandle, loc: Loc, v: u64, pflag: bool) -> OpResult<()> {
-            self.core.private_store(node, loc, v, pflag)
-        }
-        fn shared_cas(
-            &self,
-            node: &NodeHandle,
-            loc: Loc,
-            old: u64,
-            new: u64,
-            pflag: bool,
-        ) -> OpResult<Result<u64, u64>> {
-            self.core.shared_cas(node, loc, old, new, pflag)
-        }
-        fn shared_faa(
-            &self,
-            node: &NodeHandle,
-            loc: Loc,
-            delta: u64,
-            pflag: bool,
-        ) -> OpResult<u64> {
-            self.core.shared_faa(node, loc, delta, pflag)
-        }
-    };
-}
-
-/// Algorithm 2: FliT adapted to CXL0 (`LStore` + `RFlush` + counters).
-#[derive(Debug)]
-pub struct FlitCxl0 {
-    core: FlitCore,
-}
-
-impl FlitCxl0 {
-    /// Creates the transformation with a counter table of `stripes`.
-    pub fn new(stripes: usize) -> Self {
-        FlitCxl0 {
-            core: FlitCore {
-                table: FlitTable::new(stripes),
-                policy: FlushPolicy::RemoteAlways,
-                name: "flit-cxl0",
-            },
-        }
-    }
-}
-
-impl FlitCxl0 {
-    /// Testing hook: raises the FliT counter for `loc` as an in-flight
-    /// writer would.
-    #[doc(hidden)]
-    pub fn raise_counter(&self, loc: Loc) {
-        self.core.table.enter(loc);
+        let faa = || node.faa(StoreKind::Local, loc, delta);
+        self.flagged(node, loc, faa, |_| true)
     }
 
-    /// Testing hook: lowers the FliT counter for `loc`.
-    #[doc(hidden)]
-    pub fn lower_counter(&self, loc: Loc) {
-        self.core.table.exit(loc);
+    fn complete_op(&self, node: &NodeHandle) -> OpResult<()> {
+        // Alg. 1 line 29 (`Async`): retire this operation's helping
+        // flushes before the operation returns.
+        self.fence(node)
     }
-}
 
-impl Default for FlitCxl0 {
-    fn default() -> Self {
-        FlitCxl0::new(1024)
-    }
-}
-
-impl Persistence for FlitCxl0 {
-    delegate_to_core!();
-}
-
-/// §6.1's optimisation: `RFlush` replaced by `LFlush` for lines the
-/// writing machine owns (an owner's `LFlush` already reaches memory).
-#[derive(Debug)]
-pub struct FlitOwnerOpt {
-    core: FlitCore,
-}
-
-impl FlitOwnerOpt {
-    /// Creates the optimised transformation.
-    pub fn new(stripes: usize) -> Self {
-        FlitOwnerOpt {
-            core: FlitCore {
-                table: FlitTable::new(stripes),
-                policy: FlushPolicy::LocalWhenOwner,
-                name: "flit-owner-opt",
-            },
-        }
-    }
-}
-
-impl Default for FlitOwnerOpt {
-    fn default() -> Self {
-        FlitOwnerOpt::new(1024)
-    }
-}
-
-impl Persistence for FlitOwnerOpt {
-    delegate_to_core!();
-}
-
-/// Algorithm 1 ported *without* adaptation: flushes are local (they model
-/// x86 `CLFLUSHOPT`, which under CXL0 only reaches the line owner's
-/// cache). **Deliberately unsound** under partial crashes — used to
-/// demonstrate why the adaptation is necessary (the §6 motivating
-/// example).
-#[derive(Debug)]
-pub struct FlitX86 {
-    core: FlitCore,
-}
-
-impl FlitX86 {
-    /// Creates the unadapted transformation.
-    pub fn new(stripes: usize) -> Self {
-        FlitX86 {
-            core: FlitCore {
-                table: FlitTable::new(stripes),
-                policy: FlushPolicy::LocalAlways,
-                name: "flit-x86",
-            },
-        }
-    }
-}
-
-impl Default for FlitX86 {
-    fn default() -> Self {
-        FlitX86::new(1024)
-    }
-}
-
-impl Persistence for FlitX86 {
-    delegate_to_core!();
+    // The batched-store path keeps the trait default — LStore + AFlush
+    // per store, one Barrier per batch — under every policy: for `Async`
+    // that is its own discipline applied per batch rather than per op
+    // (§3.2's persistency-buffer amortization).
 }
 
 /// The naive transformation of §6.1: every store is an `MStore` (correct
@@ -592,23 +584,41 @@ impl Persistence for NoPersistence {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Weak};
+
     use super::*;
     use crate::backend::SimFabric;
+    use crate::observe::{Line, Observer, Who};
     use cxl0_model::{MachineId, SystemConfig};
 
     const M0: MachineId = MachineId(0);
     const MEM: MachineId = MachineId(1);
 
-    fn setup() -> (std::sync::Arc<SimFabric>, NodeHandle, Loc) {
+    const POLICIES: [FlushPolicy; 4] = [
+        FlushPolicy::RemoteAlways,
+        FlushPolicy::LocalWhenOwner,
+        FlushPolicy::LocalAlways,
+        FlushPolicy::Async,
+    ];
+
+    fn setup() -> (Arc<SimFabric>, NodeHandle, Loc) {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 8));
         let node = f.node(M0);
         (f, node, Loc::new(MEM, 0))
     }
 
+    fn cxl0() -> Flit {
+        Flit::new(FlushPolicy::RemoteAlways)
+    }
+
+    fn flit_async() -> Flit {
+        Flit::new(FlushPolicy::Async)
+    }
+
     #[test]
     fn flit_cxl0_store_is_immediately_persistent() {
         let (f, node, x) = setup();
-        let p = FlitCxl0::default();
+        let p = cxl0();
         p.shared_store(&node, x, 9, true).unwrap();
         assert_eq!(f.peek_memory(x), 9);
     }
@@ -616,7 +626,7 @@ mod tests {
     #[test]
     fn flit_cxl0_unflagged_store_is_not_persistent() {
         let (f, node, x) = setup();
-        let p = FlitCxl0::default();
+        let p = cxl0();
         p.shared_store(&node, x, 9, false).unwrap();
         assert_eq!(f.peek_memory(x), 0);
     }
@@ -624,7 +634,7 @@ mod tests {
     #[test]
     fn flit_x86_store_is_not_persistent_for_remote_lines() {
         let (f, node, x) = setup();
-        let p = FlitX86::default();
+        let p = Flit::new(FlushPolicy::LocalAlways);
         p.shared_store(&node, x, 9, true).unwrap();
         // LFlush only moved the line to the owner's cache — memory stale.
         assert_eq!(f.peek_memory(x), 0);
@@ -636,7 +646,7 @@ mod tests {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 8));
         let node = f.node(MEM); // issuer owns the line
         let x = Loc::new(MEM, 0);
-        let p = FlitOwnerOpt::default();
+        let p = Flit::new(FlushPolicy::LocalWhenOwner);
         p.shared_store(&node, x, 5, true).unwrap();
         assert_eq!(f.peek_memory(x), 5);
         // And it used an LFlush, not an RFlush:
@@ -658,15 +668,15 @@ mod tests {
     #[test]
     fn reader_helps_when_counter_positive() {
         let (f, node, x) = setup();
-        let p = FlitCxl0::default();
+        let p = cxl0();
         // Simulate an in-flight store: counter raised, value unflushed.
-        p.core.table.enter(x);
+        p.raise_counter(x);
         node.lstore(x, 7).unwrap();
         let v = p.shared_load(&node, x, true).unwrap();
         assert_eq!(v, 7);
         // The reader flushed on our behalf.
         assert_eq!(f.peek_memory(x), 7);
-        p.core.table.exit(x);
+        p.lower_counter(x);
         // Counter back at zero: subsequent loads don't flush.
         let before = f.stats().snapshot().rflushes;
         p.shared_load(&node, x, true).unwrap();
@@ -676,7 +686,7 @@ mod tests {
     #[test]
     fn shared_cas_persists_installed_value() {
         let (f, node, x) = setup();
-        let p = FlitCxl0::default();
+        let p = cxl0();
         assert_eq!(p.shared_cas(&node, x, 0, 4, true).unwrap(), Ok(0));
         assert_eq!(f.peek_memory(x), 4);
         assert_eq!(p.shared_cas(&node, x, 0, 5, true).unwrap(), Err(4));
@@ -685,7 +695,7 @@ mod tests {
     #[test]
     fn shared_faa_persists_and_returns_previous() {
         let (f, node, x) = setup();
-        let p = FlitCxl0::default();
+        let p = cxl0();
         assert_eq!(p.shared_faa(&node, x, 2, true).unwrap(), 0);
         assert_eq!(p.shared_faa(&node, x, 2, true).unwrap(), 2);
         assert_eq!(f.peek_memory(x), 4);
@@ -707,16 +717,242 @@ mod tests {
     #[test]
     fn complete_op_is_a_no_op_for_cxl0_flit() {
         let (_f, node, _x) = setup();
-        let p = FlitCxl0::default();
+        let p = cxl0();
         assert!(p.complete_op(&node).is_ok());
     }
 
     #[test]
     fn strategies_report_names() {
-        assert_eq!(FlitCxl0::default().name(), "flit-cxl0");
-        assert_eq!(FlitOwnerOpt::default().name(), "flit-owner-opt");
-        assert_eq!(FlitX86::default().name(), "flit-x86");
+        let names = POLICIES.map(|policy| Flit::new(policy).name());
+        let expect = ["flit-cxl0", "flit-owner-opt", "flit-x86", "flit-async"];
+        assert_eq!(names, expect);
         assert_eq!(NaiveMStore.name(), "naive-mstore");
         assert_eq!(NoPersistence.name(), "none");
+    }
+
+    /// One script step's `[lflushes, rflushes, aflushes, barriers,
+    /// sim_ns]` delta.
+    type Step = [u64; 5];
+
+    /// Each policy's flushes, fences and simulated time, step by step:
+    /// the data structures' `sim_ns` figures rest on every one of them.
+    /// The steps: a flagged store, a helped load, a successful CAS, a
+    /// failed CAS, an FAA, a flagged private store and `complete_op`,
+    /// all on lines of the memory node.
+    #[test]
+    fn each_policy_issues_its_flushes_fences_and_sim_ns() {
+        use FlushPolicy::{Async, LocalAlways, LocalWhenOwner, RemoteAlways};
+        const SR: Step = [0, 1, 0, 0, 407]; // LStore, remote RFlush
+        const RR: Step = [0, 1, 0, 0, 437]; // RMW, remote RFlush
+        const SL: Step = [1, 0, 0, 0, 72]; // LStore, LFlush
+        const RL: Step = [1, 0, 0, 0, 102]; // RMW, LFlush
+        const RA: Step = [0, 0, 1, 2, 505]; // Barrier, RMW, AFlush, Barrier
+        const NONE: Step = [0; 5];
+        let remote = [SR, [0, 1, 0, 0, 653], RR, RR, RR, SR, NONE];
+        let owner = [SL, [1, 0, 0, 0, 170], RL, RL, RL, SL, NONE];
+        let x86 = [SL, [1, 0, 0, 0, 318], RL, RL, RL, SL, NONE];
+        // The CAS's leading Barrier retires the help's AFlush; the
+        // private store has no leading Barrier.
+        let fenced = [
+            [0, 0, 1, 2, 475],
+            [0, 0, 1, 0, 266],
+            [0, 0, 1, 2, 900],
+            RA,
+            RA,
+            [0, 0, 1, 1, 445],
+            [0, 0, 0, 1, 30],
+        ];
+        let table = [
+            (RemoteAlways, M0, remote),
+            (LocalWhenOwner, M0, remote),
+            (LocalWhenOwner, MEM, owner),
+            (LocalAlways, M0, x86),
+            (Async, M0, fenced),
+        ];
+        for (policy, issuer, expect) in table {
+            let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 8));
+            let node = f.node(issuer);
+            let (x, y) = (Loc::new(MEM, 0), Loc::new(MEM, 1));
+            let p = Flit::new(policy);
+            let mut last = f.stats().snapshot();
+            let mut steps = Vec::new();
+            let mut step = || {
+                let now = f.stats().snapshot();
+                let d = now.since(&last);
+                steps.push([d.lflushes, d.rflushes, d.aflushes, d.barriers, d.sim_ns]);
+                last = now;
+            };
+            p.shared_store(&node, x, 1, true).unwrap();
+            step();
+            p.raise_counter(x);
+            assert_eq!(p.shared_load(&node, x, true).unwrap(), 1);
+            p.lower_counter(x);
+            step();
+            assert_eq!(p.shared_cas(&node, x, 1, 2, true).unwrap(), Ok(1));
+            step();
+            assert_eq!(p.shared_cas(&node, x, 1, 3, true).unwrap(), Err(2));
+            step();
+            assert_eq!(p.shared_faa(&node, x, 1, true).unwrap(), 2);
+            step();
+            p.private_store(&node, y, 5, true).unwrap();
+            step();
+            p.complete_op(&node).unwrap();
+            step();
+            assert_eq!(steps, expect, "{policy:?} issued by {issuer}");
+            assert!(!p.table.in_flight(x), "{policy:?}: a counter leaked");
+        }
+    }
+
+    /// Fails the issuing machine the moment its `LStore` to `at` settles,
+    /// so the flush that should follow it never runs.
+    #[derive(Debug)]
+    struct FailAfterLStore {
+        fabric: Weak<SimFabric>,
+        at: Loc,
+    }
+
+    impl Observer for FailAfterLStore {
+        fn on_mutate(&self, who: Option<Who>, loc: Loc, _line: Line) {
+            if let (Some((m, _)), Some(f)) = (who, self.fabric.upgrade()) {
+                if loc == self.at {
+                    f.fail_machine(m);
+                }
+            }
+        }
+    }
+
+    /// A writer that crashes between its `LStore` and its flush leaves
+    /// the line's counter raised, so a later reader helps flush it.
+    #[test]
+    fn a_writer_crashed_after_its_lstore_leaves_the_counter_raised() {
+        for policy in POLICIES {
+            let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 8));
+            let x = Loc::new(MEM, 0);
+            let fail = FailAfterLStore {
+                fabric: Arc::downgrade(&f),
+                at: x,
+            };
+            f.install_observers(vec![Arc::new(fail)]);
+            let p = Flit::new(policy);
+            assert!(p.shared_store(&f.node(M0), x, 9, true).is_err());
+            f.crash(M0);
+            f.recover(M0);
+            assert!(p.table.in_flight(x), "{policy:?}: counter lowered");
+            let reader = f.node(MachineId(2));
+            let before = f.stats().snapshot();
+            p.shared_load(&reader, x, true).unwrap();
+            let d = f.stats().snapshot().since(&before);
+            assert_eq!(d.flushes() + d.aflushes, 1, "{policy:?}: no help");
+        }
+    }
+
+    #[test]
+    fn async_name_is_reported() {
+        assert_eq!(flit_async().name(), "flit-async");
+    }
+
+    #[test]
+    fn async_store_is_persistent_before_returning() {
+        let (f, node, x) = setup();
+        let p = flit_async();
+        p.shared_store(&node, x, 9, true).unwrap();
+        // The trailing barrier inside shared_store persisted it already.
+        assert_eq!(f.peek_memory(x), 9);
+        assert_eq!(f.pending_flushes(M0), 0);
+    }
+
+    #[test]
+    fn async_unflagged_store_is_not_persistent() {
+        let (f, node, x) = setup();
+        let p = flit_async();
+        p.shared_store(&node, x, 9, false).unwrap();
+        assert_eq!(f.peek_memory(x), 0);
+    }
+
+    #[test]
+    fn async_helping_load_defers_until_complete_op() {
+        let (f, node, x) = setup();
+        let p = flit_async();
+        // Simulate another thread's in-flight store.
+        p.raise_counter(x);
+        node.lstore(x, 7).unwrap();
+        let v = p.shared_load(&node, x, true).unwrap();
+        assert_eq!(v, 7);
+        // Help was enqueued, not performed:
+        assert_eq!(f.pending_flushes(M0), 1);
+        assert_eq!(f.peek_memory(x), 0);
+        // completeOp retires it.
+        p.complete_op(&node).unwrap();
+        assert_eq!(f.pending_flushes(M0), 0);
+        assert_eq!(f.peek_memory(x), 7);
+        p.lower_counter(x);
+    }
+
+    #[test]
+    fn async_helping_load_skips_quiet_cells() {
+        let (f, node, x) = setup();
+        let p = flit_async();
+        node.lstore(x, 7).unwrap();
+        p.shared_load(&node, x, true).unwrap();
+        assert_eq!(f.pending_flushes(M0), 0); // counter at zero: no help
+    }
+
+    #[test]
+    fn async_leading_barrier_persists_prior_helps_before_store() {
+        let (f, node, x) = setup();
+        let y = Loc::new(MEM, 1);
+        let p = flit_async();
+        // A helped-but-unretired cell...
+        p.raise_counter(y);
+        node.lstore(y, 5).unwrap();
+        p.shared_load(&node, y, true).unwrap();
+        assert_eq!(f.peek_memory(y), 0);
+        // ... persists before the next shared store linearizes.
+        p.shared_store(&node, x, 1, true).unwrap();
+        assert_eq!(f.peek_memory(y), 5);
+        p.lower_counter(y);
+    }
+
+    #[test]
+    fn async_cas_and_faa_persist_synchronously() {
+        let (f, node, x) = setup();
+        let p = flit_async();
+        assert_eq!(p.shared_cas(&node, x, 0, 4, true).unwrap(), Ok(0));
+        assert_eq!(f.peek_memory(x), 4);
+        assert_eq!(p.shared_faa(&node, x, 3, true).unwrap(), 4);
+        assert_eq!(f.peek_memory(x), 7);
+    }
+
+    #[test]
+    fn async_private_store_persists_when_flagged() {
+        let (f, node, x) = setup();
+        let p = flit_async();
+        p.private_store(&node, x, 2, true).unwrap();
+        assert_eq!(f.peek_memory(x), 2);
+        p.private_store(&node, x, 3, false).unwrap();
+        assert_eq!(f.peek_memory(x), 2); // unflagged: cache only
+        assert_eq!(p.private_load(&node, x).unwrap(), 3);
+    }
+
+    #[test]
+    fn async_helped_reads_are_cheaper_than_sync_flit() {
+        // Same scenario under both policies: a hot cell with a
+        // permanently raised counter, N helped reads, one completeOp.
+        let reads = 64;
+        let helped = |p: Flit| {
+            let (f, node, x) = setup();
+            p.raise_counter(x);
+            node.lstore(x, 1).unwrap();
+            for _ in 0..reads {
+                p.shared_load(&node, x, true).unwrap();
+            }
+            p.complete_op(&node).unwrap();
+            f.stats().sim_nanos()
+        };
+        let (async_ns, sync_ns) = (helped(flit_async()), helped(cxl0()));
+        assert!(
+            async_ns < sync_ns / 2,
+            "async helping should be at least 2x cheaper: {async_ns} vs {sync_ns}"
+        );
     }
 }

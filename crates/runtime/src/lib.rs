@@ -13,16 +13,16 @@
 //!   cost model. Each operation is an atomic application of one model
 //!   transition; `tests/backend_vs_model.rs` checks the refinement against
 //!   `cxl0-model` mechanically.
-//! * [`flit`] — the FliT transformation adapted to CXL0 (Algorithm 2,
-//!   [`FlitCxl0`]), the §6.1 owner-flush optimisation ([`FlitOwnerOpt`]),
-//!   the *unadapted* x86 FliT ([`FlitX86`], deliberately unsound under
-//!   partial crashes), the naive all-`MStore` transformation
-//!   ([`NaiveMStore`]) and a no-durability baseline ([`NoPersistence`]) —
-//!   all behind the [`Persistence`] trait.
-//! * [`flit_async`] — [`FlitAsync`], the original Algorithm 1 transplanted
-//!   onto the `CXL0_AF` asynchronous-flush extension (`AFlush`/`Barrier` on
-//!   [`NodeHandle`]): deferred helping flushes, synchronous store
-//!   persistence.
+//! * [`flit`] — the FliT transformation as one strategy, [`Flit`], under
+//!   a [`FlushPolicy`]: Algorithm 2 adapted to CXL0 (`RemoteAlways`),
+//!   the §6.1 owner-flush optimisation (`LocalWhenOwner`), the
+//!   *unadapted* x86 FliT (`LocalAlways`, deliberately unsound under
+//!   partial crashes) and Algorithm 1 on the `CXL0_AF` asynchronous-flush
+//!   extension (`Async`: `AFlush`/`Barrier` on [`NodeHandle`], deferred
+//!   helping flushes, synchronous store persistence). Beside it sit the
+//!   naive all-`MStore` transformation ([`NaiveMStore`]) and a
+//!   no-durability baseline ([`NoPersistence`]) — all behind the
+//!   [`Persistence`] trait.
 //! * [`buffered`] — [`BufferedEpoch`], the §8 durability relaxation:
 //!   flush-free fast path, ping-pong snapshot syncs, rollback recovery;
 //!   *buffered* durably linearizable (`cxl0-dlcheck::buffered`).
@@ -90,7 +90,6 @@ pub mod cost;
 pub mod ds;
 pub mod error;
 pub mod flit;
-pub mod flit_async;
 pub mod heap;
 mod observe;
 pub mod smr;
@@ -108,10 +107,7 @@ pub use ds::{
     DurableLog, DurableMap, DurableQueue, DurableRegister, DurableStack, Elimination, SlotState,
 };
 pub use error::{Crashed, OpResult};
-pub use flit::{
-    FlitCxl0, FlitOwnerOpt, FlitTable, FlitX86, NaiveMStore, NoPersistence, Persistence,
-};
-pub use flit_async::FlitAsync;
+pub use flit::{Flit, FlushPolicy, NaiveMStore, NoPersistence, Persistence};
 pub use heap::{decode_ptr, encode_ptr, SharedHeap, NULL_PTR};
 pub use smr::{SmrDomain, SmrGuard, SmrStats};
 pub use snapshot::{take_gpf_snapshot, MemorySnapshot};

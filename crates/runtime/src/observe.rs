@@ -44,7 +44,8 @@ pub(crate) trait Observer: fmt::Debug + Send + Sync {
     fn on_persist_ack(&self, _loc: Loc) {}
     /// The allocator handed out the block whose payload starts at `loc`.
     fn on_alloc(&self, _loc: Loc, _cells: u32, _gen: u64) {}
-    /// The block at `loc` returned to its free list.
+    /// The block at `loc` was freed: reported at the free's claim,
+    /// before the block can be handed out again.
     fn on_free(&self, _loc: Loc) {}
     /// The block at `loc` entered SMR limbo under global epoch `epoch`.
     fn on_retire(&self, _loc: Loc, _epoch: u64) {}
@@ -79,7 +80,7 @@ mod tests {
     use crate::alloc::Allocator;
     use crate::backend::{SimFabric, StatsSnapshot};
     use crate::ds::DurableQueue;
-    use crate::flit::FlitCxl0;
+    use crate::flit::{Flit, FlushPolicy};
 
     /// Records which events it saw and does nothing else.
     #[derive(Debug, Default)]
@@ -114,7 +115,7 @@ mod tests {
     fn queue_script(observers: Vec<Arc<dyn Observer>>) -> StatsSnapshot {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 4096));
         f.install_observers(observers);
-        let persist = Arc::new(FlitCxl0::default());
+        let persist = Arc::new(Flit::new(FlushPolicy::RemoteAlways));
         let alloc = Arc::new(Allocator::over_region(f.config(), MachineId(2), persist));
         let node = f.node(MachineId(0));
         let q: DurableQueue = DurableQueue::create(&alloc, &node).unwrap().unwrap();

@@ -62,11 +62,11 @@
 //! use std::sync::Arc;
 //! use cxl0_runtime::alloc::Allocator;
 //! use cxl0_runtime::smr::SmrDomain;
-//! use cxl0_runtime::{FlitCxl0, Persistence, SimFabric};
+//! use cxl0_runtime::{Flit, FlushPolicy, Persistence, SimFabric};
 //! use cxl0_model::{MachineId, SystemConfig};
 //!
 //! let fabric = SimFabric::new(SystemConfig::symmetric_nvm(2, 1024));
-//! let persist: Arc<dyn Persistence> = Arc::new(FlitCxl0::default());
+//! let persist: Arc<dyn Persistence> = Arc::new(Flit::new(FlushPolicy::RemoteAlways));
 //! let alloc = Arc::new(Allocator::over_region(fabric.config(), MachineId(1), persist));
 //! let smr = SmrDomain::new(Arc::clone(&alloc));
 //! let node = fabric.node(MachineId(0));
@@ -555,7 +555,7 @@ impl Drop for SmrGuard<'_> {
 mod tests {
     use super::*;
     use crate::backend::SimFabric;
-    use crate::flit::FlitCxl0;
+    use crate::flit::{Flit, FlushPolicy};
     use cxl0_model::{MachineId, SystemConfig};
 
     fn setup() -> (Arc<SimFabric>, Arc<Allocator>, SmrDomain) {
@@ -563,7 +563,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(1),
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
         ));
         let smr = SmrDomain::new(Arc::clone(&alloc));
         (f, alloc, smr)
@@ -684,7 +684,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(2),
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlushPolicy::RemoteAlways)),
         ));
         let smr = Arc::new(SmrDomain::new(Arc::clone(&alloc)));
         let mut handles = Vec::new();

@@ -38,8 +38,8 @@
 //!   deltas — the per-op *persist amplification*.
 //! * **Histograms.** Latencies (simulated nanoseconds) are recorded in
 //!   fixed 64-bucket log2 [`LatencyHistogram`]s, mergeable across
-//!   threads; p50/p99/p999 surface through
-//!   [`StatsSnapshot`](crate::StatsSnapshot) gauges.
+//!   threads; p50/p99/p999 per op kind come from
+//!   [`Tracer::histogram`].
 //! * **Crash coherence.** [`SimFabric::crash`] seals the current
 //!   *incarnation*: with the world stopped it drains every live ring
 //!   into a retired-event buffer, so crashed-incarnation events are
@@ -624,18 +624,6 @@ impl Tracer {
         let mut h = LatencyHistogram::new();
         for rec in self.slots.iter() {
             h.merge(&rec.ring.lock().hist[kind as usize]);
-        }
-        h
-    }
-
-    /// The merged histogram over *all* op kinds.
-    pub fn merged_histogram(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        for rec in self.slots.iter() {
-            let ring = rec.ring.lock();
-            for kh in ring.hist.iter() {
-                h.merge(kh);
-            }
         }
         h
     }

@@ -14,13 +14,11 @@
 //!
 //! Run with: `cargo run --example async_flush`
 
-use std::sync::Arc;
-
 use cxl0::api::{Cluster, PersistMode};
 use cxl0::explore::paper_async::{async_flush_tests, check_aflush_barrier_equivalence};
 use cxl0::model::asyncflush::{AsyncLabel, AsyncSemantics};
 use cxl0::model::{Label, Loc, MachineId, SystemConfig, Val};
-use cxl0::runtime::{FlitAsync, FlitCxl0, Persistence};
+use cxl0::runtime::{Flit, FlushPolicy, Persistence};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m1 = MachineId(0);
@@ -82,10 +80,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const CELLS: usize = 8;
     const OPS: usize = 500;
 
-    let run = |name: &str, p: Arc<dyn Persistence>, raise: &dyn Fn(Loc)| -> u64 {
-        // The cluster supplies fabric + heap; the strategies under
-        // comparison are constructed concretely (their raise_counter
-        // testing hooks are not on the Persistence trait).
+    let run = |policy: FlushPolicy| -> u64 {
+        // The cluster supplies fabric + heap; the strategy under
+        // comparison is built here, where its counter hook is reachable.
         let cluster = Cluster::builder(SystemConfig::symmetric_nvm(3, 256))
             .persist(PersistMode::None)
             .root_capacity(0)
@@ -94,8 +91,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cells: Vec<Loc> = (0..CELLS)
             .map(|_| cluster.heap().alloc(1).unwrap())
             .collect();
+        let p = Flit::new(policy);
         for &c in &cells {
-            raise(c);
+            p.raise_counter(c);
         }
         let session = cluster.session(m1);
         for _ in 0..OPS {
@@ -105,18 +103,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p.complete_op(session.node()).unwrap();
         }
         let ns = session.stats_delta().sim_ns / OPS as u64;
-        println!("{name:<12} {ns:>8} simulated ns/op");
+        println!("{:<12} {ns:>8} simulated ns/op", p.name());
         ns
     };
 
-    let sync = Arc::new(FlitCxl0::default());
-    let sync_ns = run("flit-cxl0", Arc::clone(&sync) as _, &|c| {
-        sync.raise_counter(c)
-    });
-    let asy = Arc::new(FlitAsync::default());
-    let async_ns = run("flit-async", Arc::clone(&asy) as _, &|c| {
-        asy.raise_counter(c)
-    });
+    let sync_ns = run(FlushPolicy::RemoteAlways);
+    let async_ns = run(FlushPolicy::Async);
     println!(
         "\nbatching {CELLS} helping flushes under one Barrier: {:.2}x faster",
         sync_ns as f64 / async_ns as f64

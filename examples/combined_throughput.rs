@@ -41,9 +41,7 @@ fn run_front(combined: bool) -> (StatsSnapshot, f64) {
     // outside the timed region — the row measures queue operations.
     let mut workers: Vec<Box<dyn FnMut() + Send>> = Vec::new();
     if combined {
-        let q = setup
-            .create_queue_combined::<u64>("demo/q")
-            .expect("heap fits");
+        let q = setup.combined(setup.create_queue::<u64>("demo/q").expect("heap fits"));
         for v in 0..PREFILL {
             q.enqueue(&setup, v + 1).unwrap();
         }

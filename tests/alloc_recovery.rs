@@ -169,8 +169,8 @@ proptest! {
     /// crash/recover interleavings, under every *sound* durability mode
     /// plus the no-durability baseline (whose state survives a
     /// memory-node crash in the issuing node's cache). The one
-    /// exclusion is `FlitX86`, the deliberately unsound x86 port the
-    /// paper's §6 keeps for comparison: its "flushes" park lines in the
+    /// exclusion is `PersistMode::FlitX86`, the deliberately unsound x86
+    /// port the paper's §6 keeps for comparison: its "flushes" park lines in the
     /// memory node's cache, so a memory-node crash loses acknowledged
     /// writes below the allocator — see
     /// [`flit_x86_unsoundness_reaches_the_allocator`] for that claim,
@@ -189,7 +189,8 @@ proptest! {
 /// sweep can make allocation crash-consistent over an unsound flush
 /// layer. Under the unadapted x86 FliT, a *completed* free is lost by a
 /// memory-node crash (the freed block vanishes from the durable free
-/// list), while the identical program under `FlitCxl0` keeps it.
+/// list), while the identical program under `PersistMode::FlitCxl0`
+/// keeps it.
 #[test]
 fn flit_x86_unsoundness_reaches_the_allocator() {
     let survivors = |mode: PersistMode| {
@@ -213,7 +214,7 @@ fn flit_x86_unsoundness_reaches_the_allocator() {
         survivors(PersistMode::FlitX86),
         0,
         "the unsound port must lose the completed free — if this starts \
-         passing, the FlitX86 ablation no longer demonstrates §6"
+         passing, the flit-x86 ablation no longer demonstrates §6"
     );
 }
 

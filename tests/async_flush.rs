@@ -7,7 +7,7 @@
 //!    `AFlush;Barrier ≡ RFlush` equivalence over reachable states;
 //! 2. **Runtime** — `SimFabric`'s persistency buffers agree with the model
 //!    (deferral, batching, crash-discard);
-//! 3. **Transformation** — `FlitAsync` (Algorithm 1 on `CXL0_AF`) yields
+//! 3. **Transformation** — FliT under `FlushPolicy::Async` (Algorithm 1 on `CXL0_AF`) yields
 //!    durably linearizable objects under partial crashes, and its deferred
 //!    helping flushes beat synchronous helping in simulated time.
 
@@ -20,7 +20,7 @@ use cxl0::explore::paper_async::{async_flush_tests, check_aflush_barrier_equival
 use cxl0::model::{MachineId, SystemConfig};
 use cxl0::runtime::alloc::Allocator;
 use cxl0::runtime::{
-    DurableQueue, DurableRegister, FlitAsync, FlitCxl0, Persistence, SharedHeap, SimFabric,
+    DurableQueue, DurableRegister, Flit, FlushPolicy, Persistence, SharedHeap, SimFabric,
 };
 
 const MEM: MachineId = MachineId(2);
@@ -100,7 +100,7 @@ where
 fn flit_async_register_durably_linearizable_under_crash() {
     let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 15));
     let heap = Arc::new(SharedHeap::new(fabric.config(), MEM));
-    let p: Arc<dyn Persistence> = Arc::new(FlitAsync::default());
+    let p: Arc<dyn Persistence> = Arc::new(Flit::new(FlushPolicy::Async));
     let reg = DurableRegister::create(&heap, p).unwrap();
     let recorder: Recorder<RegisterOp, RegisterRet> = Recorder::new();
     {
@@ -140,7 +140,7 @@ fn flit_async_register_durably_linearizable_under_crash() {
 #[test]
 fn flit_async_queue_durably_linearizable_under_crash() {
     let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 15));
-    let p: Arc<dyn Persistence> = Arc::new(FlitAsync::default());
+    let p: Arc<dyn Persistence> = Arc::new(Flit::new(FlushPolicy::Async));
     let alloc = Arc::new(Allocator::over_region(fabric.config(), MEM, p));
     let queue = DurableQueue::create(&alloc, &fabric.node(MachineId(0)))
         .unwrap()
@@ -190,20 +190,24 @@ fn flit_async_queue_durably_linearizable_under_crash() {
 fn deferred_helping_beats_synchronous_helping_in_sim_time() {
     // An operation that reads an 8-cell structure while in-flight writers
     // keep the FliT counters positive on every cell (the worst case for
-    // helping). FlitAsync defers all 8 helping flushes to one overlapped
-    // barrier per op; FlitCxl0 pays 8 synchronous remote flushes per op.
+    // helping). The Async policy defers all 8 helping flushes to one
+    // overlapped barrier per op; RemoteAlways pays 8 synchronous remote
+    // flushes per op.
     const CELLS: usize = 8;
     const OPS: usize = 50;
 
-    fn run_ops(
-        fabric: &Arc<SimFabric>,
-        p: &Arc<dyn Persistence>,
-        cells: &[cxl0::model::Loc],
-    ) -> u64 {
+    fn run_ops(policy: FlushPolicy) -> u64 {
+        let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 10));
+        let heap = Arc::new(SharedHeap::new(fabric.config(), MEM));
+        let cells: Vec<_> = (0..CELLS).map(|_| heap.alloc(1).unwrap()).collect();
+        let p = Flit::new(policy);
+        for &c in &cells {
+            p.raise_counter(c);
+        }
         let node = fabric.node(MachineId(0));
         let before = fabric.stats().snapshot();
         for _ in 0..OPS {
-            for &c in cells {
+            for &c in &cells {
                 p.shared_load(&node, c, true).unwrap();
             }
             p.complete_op(&node).unwrap();
@@ -211,31 +215,8 @@ fn deferred_helping_beats_synchronous_helping_in_sim_time() {
         fabric.stats().snapshot().since(&before).sim_ns
     }
 
-    let fabric_a = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 10));
-    let heap_a = Arc::new(SharedHeap::new(fabric_a.config(), MEM));
-    let cells_a: Vec<_> = (0..CELLS).map(|_| heap_a.alloc(1).unwrap()).collect();
-    let pa = Arc::new(FlitAsync::default());
-    for &c in &cells_a {
-        pa.raise_counter(c);
-    }
-    let async_ns = run_ops(
-        &fabric_a,
-        &(Arc::clone(&pa) as Arc<dyn Persistence>),
-        &cells_a,
-    );
-
-    let fabric_s = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 10));
-    let heap_s = Arc::new(SharedHeap::new(fabric_s.config(), MEM));
-    let cells_s: Vec<_> = (0..CELLS).map(|_| heap_s.alloc(1).unwrap()).collect();
-    let ps = Arc::new(FlitCxl0::default());
-    for &c in &cells_s {
-        ps.raise_counter(c);
-    }
-    let sync_ns = run_ops(
-        &fabric_s,
-        &(Arc::clone(&ps) as Arc<dyn Persistence>),
-        &cells_s,
-    );
+    let async_ns = run_ops(FlushPolicy::Async);
+    let sync_ns = run_ops(FlushPolicy::RemoteAlways);
 
     assert!(
         (async_ns as f64) < 0.75 * sync_ns as f64,

@@ -19,7 +19,8 @@ use cxl0::dlcheck::{check_durably_linearizable, Recorder, ThreadId};
 use cxl0::model::{MachineId, SystemConfig};
 use cxl0::runtime::alloc::Allocator;
 use cxl0::runtime::{
-    BufferedEpoch, DurableQueue, DurableRegister, FlitCxl0, Persistence, SharedHeap, SimFabric,
+    BufferedEpoch, DurableQueue, DurableRegister, Flit, FlushPolicy, Persistence, SharedHeap,
+    SimFabric,
 };
 
 const MEM: MachineId = MachineId(1);
@@ -161,7 +162,7 @@ fn rollback_beats_partial_eviction() {
 #[test]
 fn flit_history_passes_both_checkers() {
     let (fabric, heap) = setup();
-    let p = Arc::new(FlitCxl0::default());
+    let p = Arc::new(Flit::new(FlushPolicy::RemoteAlways));
     let reg = DurableRegister::create(&heap, Arc::clone(&p) as Arc<dyn Persistence>).unwrap();
     let node = fabric.node(MachineId(0));
     let rec: Recorder<RegisterOp, RegisterRet> = Recorder::new();
@@ -204,7 +205,7 @@ fn buffered_fast_path_is_cheaper_than_flit() {
     let buffered_ns = fabric_b.stats().snapshot().since(&before).sim_ns;
 
     let (fabric_f, heap_f) = setup();
-    let p = Arc::new(FlitCxl0::default());
+    let p = Arc::new(Flit::new(FlushPolicy::RemoteAlways));
     let reg_f = DurableRegister::create(&heap_f, Arc::clone(&p) as Arc<dyn Persistence>).unwrap();
     let node_f = fabric_f.node(MachineId(0));
     let before = fabric_f.stats().snapshot();

@@ -15,8 +15,8 @@ use cxl0::trace::{EventKind, OpKind, TraceConfig};
 const MEM: MachineId = MachineId(2);
 
 /// Every mode whose strategy actually promises per-operation
-/// durability. `FlitX86` is excluded by design (unsound), `None` and
-/// `Buffered` promise nothing per-operation.
+/// durability. `PersistMode::FlitX86` is excluded by design (unsound),
+/// `None` and `Buffered` promise nothing per-operation.
 const SOUND_MODES: [PersistMode; 4] = [
     PersistMode::FlitCxl0,
     PersistMode::OwnerOpt,
@@ -45,10 +45,9 @@ fn assert_clean(cluster: &Cluster, mode: PersistMode, what: &str) {
         "{mode:?} {what}: {:#?}",
         ck.violations()
     );
-    let snap = cluster.stats_snapshot();
-    assert_eq!(snap.check_durability_races, 0);
-    assert_eq!(snap.check_unpersisted_reads, 0);
-    assert_eq!(snap.check_use_after_retire, 0);
+    assert_eq!(ck.durability_races(), 0);
+    assert_eq!(ck.unpersisted_reads(), 0);
+    assert_eq!(ck.use_after_retire(), 0);
 }
 
 /// Queue churn (allocator reuse), list churn (SMR retire/reclaim), a
@@ -165,11 +164,6 @@ fn unadapted_x86_flit_trips_unpersisted_read_at_recovery() {
     assert!(reports
         .iter()
         .any(|v| v.class == ViolationClass::UnpersistedReadAtRecovery));
-    assert_eq!(
-        cluster.stats_snapshot().check_unpersisted_reads,
-        ck.unpersisted_reads(),
-        "violation counters surface through StatsSnapshot"
-    );
     // The tracer, armed beside the checker, lands every violation on
     // the timeline and still attributes the strategy's persist acks.
     let events = cluster.tracer().expect("tracer armed").events();

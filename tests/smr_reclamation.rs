@@ -16,13 +16,14 @@ use std::sync::Arc;
 use cxl0::model::{Loc, MachineId, SystemConfig};
 use cxl0::runtime::alloc::META_CELLS;
 use cxl0::runtime::api::{Cluster, PersistMode};
-use cxl0::runtime::{Allocator, FlitCxl0, NaiveMStore, Persistence, SimFabric, SmrDomain};
+use cxl0::runtime::{Allocator, Flit, FlushPolicy, NaiveMStore, Persistence, SimFabric, SmrDomain};
 use proptest::prelude::*;
 
 /// Every mode the reclamation layer must be sound under: the strict
 /// per-operation modes plus the no-durability baseline (reclamation is
-/// orthogonal to durability; only the deliberately unsound `FlitX86`
-/// and the capacity-bounded `Buffered` rig are excluded).
+/// orthogonal to durability; only the deliberately unsound
+/// `PersistMode::FlitX86` and the capacity-bounded `Buffered` rig are
+/// excluded).
 fn sound_modes() -> Vec<PersistMode> {
     let mut modes: Vec<PersistMode> = PersistMode::comparison_set()
         .into_iter()
@@ -399,7 +400,7 @@ proptest! {
     fn epochs_limbo_and_free_lists_track_the_model(
         ops in proptest::collection::vec(arb_smr_op(), 0..64)
     ) {
-        run_smr_interleaving(Arc::new(FlitCxl0::default()), ops.clone());
+        run_smr_interleaving(Arc::new(Flit::new(FlushPolicy::RemoteAlways)), ops.clone());
         run_smr_interleaving(Arc::new(NaiveMStore), ops);
     }
 }
